@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -25,6 +24,7 @@ from . import __version__
 from .dyck import (
     KnotParams,
     LinksUnsupported,
+    coprime_pairs,
     enumerate_paths,
     rational_catalan,
     stats_json,
@@ -70,14 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--form", choices=FORMS, default="P")
     compute.add_argument("--format", choices=FORMATS, default="text")
     compute.add_argument("--cache-dir", default=None)
-    compute.add_argument("--max-leaves", type=int, default=DEFAULT_MAX_LEAVES)
+    compute.add_argument("--max-leaves", type=_positive_int, default=DEFAULT_MAX_LEAVES)
 
     paths = sub.add_parser("paths", help="list the (m, n) Dyck paths")
     paths.add_argument("m", type=_positive_int)
     paths.add_argument("n", type=_positive_int)
     paths.add_argument("--with-stats", action="store_true")
     paths.add_argument("--format", choices=("text", "json"), default="text")
-    paths.add_argument("--max-leaves", type=int, default=DEFAULT_MAX_LEAVES)
+    paths.add_argument("--max-leaves", type=_positive_int, default=DEFAULT_MAX_LEAVES)
 
     verify = sub.add_parser("verify", help="run the consistency suite")
     verify.add_argument("m", type=_positive_int, nargs="?")
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="do not fail on the externally known symmetry regressions",
     )
     verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument("--max-leaves", type=int, default=DEFAULT_MAX_LEAVES)
+    verify.add_argument("--max-leaves", type=_positive_int, default=DEFAULT_MAX_LEAVES)
 
     catalan = sub.add_parser("catalan", help="print the Dyck-path count")
     catalan.add_argument("m", type=_positive_int)
@@ -244,11 +244,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print("give either m n or --range, not both", file=sys.stderr)
             return EXIT_USAGE
         bound = _parse_range(args.range_spec)
-        targets = []
-        for s in range(2, bound + 1):
-            for m in range(1, s):
-                if math.gcd(m, s - m) == 1 and m >= s - m:
-                    targets.append(KnotParams(m, s - m))
+        targets = [p for p in coprime_pairs(bound) if p.m >= p.n]
     elif args.m is not None and args.n is not None:
         targets = [KnotParams(args.m, args.n)]
     else:
@@ -281,6 +277,10 @@ def _cmd_catalan(args: argparse.Namespace) -> int:
     if args.check:
         from .verify import catalan_check
 
+        message = _guard_size(params, DEFAULT_MAX_LEAVES)
+        if message:
+            print(message, file=sys.stderr)
+            return EXIT_USAGE
         check = catalan_check(params)
         ok = check.passed
         result["specialization"] = check.got
@@ -308,9 +308,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         for entry in entries:
             print(f"  {entry.name}")
     else:
-        for entry in entries:
+        # *.tmp files are partial writes left by a cache_store that was killed
+        leftovers = sorted(directory.glob("*.tmp")) if directory.exists() else []
+        for entry in entries + leftovers:
             entry.unlink()
-        print(f"removed {len(entries)} entries from {directory}")
+        print(
+            f"removed {len(entries)} entries and {len(leftovers)} temporary files "
+            f"from {directory}"
+        )
     return EXIT_OK
 
 

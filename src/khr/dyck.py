@@ -210,7 +210,7 @@ def hplus(path: DyckPath) -> int:
     The scaled offsets swept by an E step starting at d = D are [D - n, D],
     by an N step starting at d = D are [D, D + m]; the closed intervals meet
     iff DN <= DE and DE - n <= DN + m.  For coprime (m, n) neither comparison
-    can be an equality, which is asserted.
+    can be an equality, which is checked.
     """
     m, n = path.params.m, path.params.n
     count = 0
@@ -234,7 +234,8 @@ def hplus(path: DyckPath) -> int:
         de = e_after[e_idx]
         e_idx += 1
         for dn in n_starts[seen_n:]:
-            assert dn != de and de - n != dn + m, "degenerate offset-interval contact"
+            if dn == de or de - n == dn + m:
+                raise RuntimeError("degenerate offset-interval contact")
             if dn < de and de - n < dn + m:
                 count += 1
     return count

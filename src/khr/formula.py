@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .dyck import DyckPath, KnotParams, area, enumerate_paths, hplus, k_of, vstar
-from .laurent import A, Invariant, LaurentPoly, ONE, q_power
+from .laurent import A, Invariant, LaurentPoly, ONE, poly_sum, q_power
 
 
 def genus(params: KnotParams) -> int:
@@ -57,10 +57,12 @@ def hhh_path_term(path: DyckPath) -> LaurentPoly:
 @lru_cache(maxsize=None)
 def hhh_direct(params: KnotParams) -> Invariant:
     """The unnormalized series: sum of rewritten summands over (1 - t)."""
-    total = LaurentPoly.zero()
-    for path in enumerate_paths(params):
-        total = total + hhh_path_term(path)
-    return Invariant(total, 1)
+    return Invariant(poly_sum(hhh_path_term(p) for p in enumerate_paths(params)), 1)
+
+
+def display_sum(params: KnotParams) -> LaurentPoly:
+    """Sum of the display summands, before the prefactor and (1 - t)."""
+    return poly_sum(path_summand(p) for p in enumerate_paths(params))
 
 
 @lru_cache(maxsize=None)
@@ -73,14 +75,12 @@ def superpolynomial(params: KnotParams) -> Invariant:
     agree exactly; a discrepancy means an exponent bookkeeping bug.
     """
     norm = normalization(params)
-    total = LaurentPoly.zero()
-    for path in enumerate_paths(params):
-        total = total + path_summand(path)
-    display = Invariant(norm.prefactor * total, 1)
+    display = Invariant(norm.prefactor * display_sum(params), 1)
     via_series = hhh_direct(params) * LaurentPoly.monomial(
         1, ea=norm.genus, q2=norm.genus, t2=-norm.genus
     )
-    assert display == via_series, f"normalization mismatch for {params}"
+    if display != via_series:
+        raise RuntimeError(f"normalization mismatch for {params}")
     return display
 
 

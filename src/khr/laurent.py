@@ -259,6 +259,23 @@ def t_power(k: int) -> LaurentPoly:
     return LaurentPoly.monomial(1, t2=2 * k)
 
 
+def poly_sum(polys: Iterable[LaurentPoly]) -> LaurentPoly:
+    """Sum of polys, accumulated in place in one dict.
+
+    Linear in the total number of input terms, where a fold with + copies
+    the growing sum at every step; zero coefficients are dropped once at
+    the end.
+    """
+    acc: dict[ExponentTriple, int] = {}
+    get = acc.get
+    for p in polys:
+        for exp, c in p._terms.items():
+            acc[exp] = get(exp, 0) + c
+    result = LaurentPoly()
+    result._terms = {exp: c for exp, c in acc.items() if c}
+    return result
+
+
 def monomial_ratio(
     p: LaurentPoly, r: LaurentPoly
 ) -> Optional[tuple[int, ExponentTriple, int]]:

@@ -44,7 +44,7 @@ from .dyck import (
     rational_catalan,
     vstar,
 )
-from .laurent import A, Invariant, LaurentPoly, ONE, T, q_power
+from .laurent import A, Invariant, LaurentPoly, ONE, T, poly_sum, q_power
 
 
 class UnsupportedConfiguration(RuntimeError):
@@ -371,10 +371,14 @@ def evaluate(params: KnotParams, profile: WeightProfile) -> SweepResult:
 
     Each leaf is reconstructed into its Dyck path and validated on the fly;
     the leaf list comes back sorted by path (N before E), and the leaf count
-    is checked against the rational Catalan number.
+    is checked against the rational Catalan number.  Every leaf numerator
+    sits over the base's (1 - t) power, so the total is one sum of those
+    numerators, normalized once; each leaf also keeps its own normalized
+    value.
     """
     events = event_list(params)
     leaves: list[Leaf] = []
+    numerators: list[LaurentPoly] = []
     stack: list[tuple[int, Coloring, LaurentPoly, dict, dict]] = [
         (0, initial_coloring(params), ONE, {}, {})
     ]
@@ -409,7 +413,9 @@ def evaluate(params: KnotParams, profile: WeightProfile) -> SweepResult:
             step = successors[0]
             if step.tag is Rule.TERMINAL:
                 record = BranchRecord(tags, kvals, ev.p)
-                value = Invariant(weight * profile.base.num, profile.base.dpow)
+                num = weight * profile.base.num
+                numerators.append(num)
+                value = Invariant(num, profile.base.dpow)
                 path = reconstruct_path(record, params)
                 leaves.append(Leaf(record, path, value))
                 finished = True
@@ -425,11 +431,11 @@ def evaluate(params: KnotParams, profile: WeightProfile) -> SweepResult:
 
     leaves.sort(key=lambda leaf: leaf.path.sort_key)
     expected = rational_catalan(params)
-    assert len(leaves) == expected, f"{len(leaves)} leaves, expected {expected}"
-    assert len({str(leaf.path) for leaf in leaves}) == len(leaves), "duplicate leaf paths"
-    total = Invariant(LaurentPoly.zero(), 0)
-    for leaf in leaves:
-        total = total + leaf.value
+    if len(leaves) != expected:
+        raise RuntimeError(f"{len(leaves)} leaves, expected {expected}")
+    if len({str(leaf.path) for leaf in leaves}) != len(leaves):
+        raise RuntimeError("duplicate leaf paths")
+    total = Invariant(poly_sum(numerators), profile.base.dpow)
     return SweepResult(params, profile.name, total, leaves)
 
 

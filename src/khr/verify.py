@@ -21,7 +21,7 @@ from .dyck import (
     path_stats,
     rational_catalan,
 )
-from .formula import genus, hhh_direct, hhh_path_term, path_summand, superpolynomial
+from .formula import display_sum, genus, hhh_direct, hhh_path_term, superpolynomial
 from .laurent import (
     A,
     ExponentTriple,
@@ -31,7 +31,7 @@ from .laurent import (
     monomial_ratio,
     specialize_count,
 )
-from .sweep import HHH_PROFILE, TORIC_PROFILE, evaluate, initial_coloring
+from .sweep import HHH_PROFILE, TORIC_PROFILE, SweepResult, evaluate, initial_coloring
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,10 @@ class CrossCheck:
         )
 
 
-def cross_check(params: KnotParams) -> CrossCheck:
-    result = evaluate(params, HHH_PROFILE)
+def cross_check(params: KnotParams, hhh: Optional[SweepResult] = None) -> CrossCheck:
+    """Compare the HHH sweep of params (hhh, or a fresh one) with the
+    closed form."""
+    result = hhh if hhh is not None else evaluate(params, HHH_PROFILE)
     direct = hhh_direct(params)
     check = CrossCheck(
         total_match=(result.total == direct),
@@ -200,17 +202,22 @@ def _pretty_monomial(sign: int, exp: ExponentTriple, magnitude: int) -> str:
     return body if sign > 0 else f"-{body}"
 
 
-def leaf_ratio_report(params: KnotParams) -> RatioReport:
-    hhh = evaluate(params, HHH_PROFILE)
+def leaf_ratio_report(params: KnotParams, hhh: Optional[SweepResult] = None) -> RatioReport:
+    """Ratio table of the scalar sweep against the HHH sweep of params
+    (hhh, or a fresh one)."""
+    if hhh is None:
+        hhh = evaluate(params, HHH_PROFILE)
     toric = evaluate(params, TORIC_PROFILE)
     one_minus_a = ONE - A
     entries: list[RatioEntry] = []
     for h_leaf, t_leaf in zip(hhh.leaves, toric.leaves):
-        assert str(h_leaf.path) == str(t_leaf.path)
+        if str(h_leaf.path) != str(t_leaf.path):
+            raise RuntimeError(f"leaf paths differ: {h_leaf.path} vs {t_leaf.path}")
         # both leaves are x / (1-t)^d with the HHH side at d = 1 and the
         # scalar side at d = 0, so (1-a)(1-t) * HHH leaf is polynomial
         reference = Invariant(one_minus_a * h_leaf.value.num, h_leaf.value.dpow - 1)
-        assert reference.dpow == 0 and t_leaf.value.dpow == 0
+        if reference.dpow != 0 or t_leaf.value.dpow != 0:
+            raise RuntimeError(f"leaf {h_leaf.path} of {params} is not polynomial")
         ratio = monomial_ratio(t_leaf.value.num, reference.num)
         if ratio is None:
             entries.append(
@@ -238,10 +245,7 @@ def sign_structure_ok(params: KnotParams) -> bool:
     """In the un-prefactored display sum, every a^j coefficient carries sign
     (-1)^j; the normalized numerator is a^genus (qt)^(-genus/2) times that
     sum, so its signs alternate starting from + at a-degree genus."""
-    total = LaurentPoly.zero()
-    for path in enumerate_paths(params):
-        total = total + path_summand(path)
-    return all((c > 0) == (exp.ea % 2 == 0) for exp, c in total.items())
+    return all((c > 0) == (exp.ea % 2 == 0) for exp, c in display_sum(params).items())
 
 
 _SUITES = ("identities", "cross", "catalan", "symmetry", "ratios")
@@ -282,19 +286,23 @@ def run_suite(
     external_strict: bool = True,
     suites: Optional[set[str]] = None,
 ) -> VerificationReport:
-    """Run the selected suites (all by default) for one pair."""
+    """Run the selected suites (all by default) for one pair.
+
+    The HHH sweep runs at most once: "cross" and "ratios" share it.
+    """
     selected = set(_SUITES) if suites is None else suites
     unknown = selected - set(_SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
+    hhh = evaluate(params, HHH_PROFILE) if selected & {"cross", "ratios"} else None
     return VerificationReport(
         m=params.m,
         n=params.n,
         identities=identity_suite(params) if "identities" in selected else None,
-        cross=cross_check(params) if "cross" in selected else None,
+        cross=cross_check(params, hhh) if "cross" in selected else None,
         catalan=catalan_check(params) if "catalan" in selected else None,
         symmetry=symmetry_checks(params) if "symmetry" in selected else None,
-        ratios=leaf_ratio_report(params) if "ratios" in selected else None,
+        ratios=leaf_ratio_report(params, hhh) if "ratios" in selected else None,
         external_strict=external_strict,
     )
 

@@ -51,6 +51,11 @@ class TestCompute:
         assert code == 2
         assert "refusing" in err
 
+    def test_max_leaves_must_be_positive(self, capsys):
+        for command in (["compute", "3", "2"], ["paths", "3", "2"], ["verify", "3", "2"]):
+            for bound in ("0", "-5"):
+                assert run(capsys, *command, "--max-leaves", bound)[0] == 2
+
     def test_byte_determinism(self, capsys):
         first = run(capsys, "compute", "5", "3", "--format", "json")
         second = run(capsys, "compute", "5", "3", "--format", "json")
@@ -96,6 +101,13 @@ class TestCache:
         code, out, _ = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
         assert code == 0 and "removed 1" in out
         assert not list(tmp_path.glob("compute_*.json"))
+
+    def test_clear_removes_temporary_files(self, capsys, tmp_path):
+        run(capsys, "compute", "3", "2", "--cache-dir", str(tmp_path))
+        (tmp_path / "tmpabc123.tmp").write_text('{"version"')
+        code, out, _ = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
+        assert code == 0 and "removed 1 entries and 1 temporary files" in out
+        assert not list(tmp_path.iterdir())
 
     def test_cache_without_directory_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv(cli.CACHE_ENV, raising=False)
@@ -160,6 +172,15 @@ class TestCatalanCommand:
         code, out, _ = run(capsys, "catalan", "5", "3")
         assert code == 0
         assert "7 paths" in out
+
+    def test_oversized_check_refused(self, capsys):
+        code, out, err = run(capsys, "catalan", "40", "39", "--check")
+        assert code == 2 and not out
+        assert "refusing" in err
+
+    def test_oversized_count_still_printed(self, capsys):
+        code, out, _ = run(capsys, "catalan", "40", "39")
+        assert code == 0 and "paths" in out
 
     def test_check_json(self, capsys):
         code, out, _ = run(capsys, "catalan", "5", "2", "--check", "--format", "json")

@@ -1,5 +1,7 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import khr.formula
 from khr.dyck import DyckPath, KnotParams, coprime_pairs
 from khr.formula import (
     euler_characteristic,
@@ -91,6 +93,11 @@ class TestSuperpolynomial:
         g = genus(params)
         for exp, c in superpolynomial(params).num.items():
             assert (c > 0) == ((exp.ea - g) % 2 == 0)
+
+    def test_normalization_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(khr.formula, "hhh_direct", lambda params: Invariant(ONE, 1))
+        with pytest.raises(RuntimeError, match="normalization mismatch"):
+            superpolynomial.__wrapped__(KnotParams(3, 2))
 
 
 class TestEulerCharacteristic:

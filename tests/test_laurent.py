@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +18,7 @@ from khr.laurent import (
     invariant_to_json,
     monomial_ratio,
     poly_from_json,
+    poly_sum,
     poly_to_json,
     q_power,
     specialize_count,
@@ -46,6 +50,21 @@ def parity_coherent_polys(draw):
         )
         terms[exp] = draw(st.integers(-20, 20))
     return LaurentPoly(terms)
+
+
+class TestPolySum:
+    @given(st.lists(polys(), max_size=8))
+    def test_matches_pairwise_fold(self, ps):
+        assert poly_sum(ps) == functools.reduce(operator.add, ps, ZERO)
+
+    @given(st.lists(polys(), max_size=4))
+    def test_cancels_to_zero(self, ps):
+        # each polynomial and its negation: every coefficient cancels
+        both = ps + [-p for p in reversed(ps)]
+        assert poly_sum(both) == functools.reduce(operator.add, both, ZERO) == ZERO
+
+    def test_accepts_generators(self):
+        assert poly_sum(q_power(k) for k in range(3)) == ONE + Q + Q * Q
 
 
 class TestArithmetic:

@@ -1,6 +1,10 @@
+import functools
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import khr.sweep
 from khr.dyck import KnotParams, coprime_pairs, k_of, rational_catalan
 from khr.laurent import A, Invariant, LaurentPoly, ONE, T, q_power
 from khr.sweep import (
@@ -188,6 +192,23 @@ class TestEvaluateHHH:
             for p, rule in leaf.record.tags.items():
                 if rule in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT):
                     assert leaf.record.kvals[p] == k_of(leaf.path, p)
+
+
+class TestTotal:
+    @given(small_coprime, st.sampled_from([HHH_PROFILE, TORIC_PROFILE]))
+    @settings(max_examples=30, deadline=None)
+    def test_total_equals_pairwise_fold(self, params, profile):
+        # reference: the fold of leaf values through Invariant.__add__
+        result = evaluate(params, profile)
+        fold = functools.reduce(
+            operator.add, (leaf.value for leaf in result.leaves), Invariant(LaurentPoly(), 0)
+        )
+        assert result.total == fold
+
+    def test_wrong_leaf_count_raises(self, monkeypatch):
+        monkeypatch.setattr(khr.sweep, "rational_catalan", lambda params: 3)
+        with pytest.raises(RuntimeError, match="leaves, expected 3"):
+            evaluate(KnotParams(3, 2), HHH_PROFILE)
 
 
 class TestEvaluateToric:

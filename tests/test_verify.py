@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import khr.verify
 from khr.dyck import KnotParams, coprime_pairs
+from khr.sweep import HHH_PROFILE, TORIC_PROFILE, evaluate
 from khr.verify import (
     catalan_check,
     cross_check,
@@ -133,3 +135,33 @@ class TestReport:
         lines = report_lines(report)
         assert lines[0] == "verification of (3,2)"
         assert any("overall: pass" in line for line in lines)
+
+
+class TestSharedSweep:
+    def test_one_sweep_per_profile(self, monkeypatch):
+        calls = []
+
+        def counting(params, profile):
+            calls.append((params, profile.name))
+            return evaluate(params, profile)
+
+        monkeypatch.setattr(khr.verify, "evaluate", counting)
+        knots = [KnotParams(3, 2), KnotParams(5, 3)]
+        for params in knots:
+            assert run_suite(params).overall_pass
+        assert calls == [(p, name) for p in knots for name in ("HHH", "I")]
+
+    def test_given_sweep_matches_fresh(self):
+        params = KnotParams(5, 3)
+        hhh = evaluate(params, HHH_PROFILE)
+        assert cross_check(params, hhh) == cross_check(params)
+        assert leaf_ratio_report(params, hhh) == leaf_ratio_report(params)
+
+    def test_wrong_sweep_detected(self):
+        params = KnotParams(5, 3)
+        assert not cross_check(params, evaluate(params, TORIC_PROFILE)).passed
+        assert not cross_check(params, evaluate(KnotParams(3, 5), HHH_PROFILE)).passed
+        with pytest.raises(ValueError):
+            leaf_ratio_report(params, evaluate(params, TORIC_PROFILE))
+        with pytest.raises(RuntimeError):
+            leaf_ratio_report(params, evaluate(KnotParams(3, 5), HHH_PROFILE))
