@@ -53,7 +53,8 @@ def distance(params: KnotParams, p: Point) -> int:
 def rational_catalan(params: KnotParams) -> int:
     """C(m+n, n) / (m+n), the number of (m, n)-Dyck paths."""
     total = math.comb(params.m + params.n, params.n)
-    assert total % (params.m + params.n) == 0
+    if total % (params.m + params.n) != 0:
+        raise ValueError(f"C(m+n, n) is not divisible by m+n for ({params.m}, {params.n})")
     return total // (params.m + params.n)
 
 
@@ -180,16 +181,11 @@ def area(path: DyckPath) -> int:
 
     The cell [x, x+1] x [y, y+1] qualifies iff it sits right of the path's
     vertical step in row y and its bottom-right corner is not below the
-    diagonal.
+    diagonal, i.e. columns[y] <= x <= floor(m*y/n) - 1; the path's vertex
+    (columns[y], y) is not below the diagonal, so every row count is >= 0.
     """
     m, n = path.params.m, path.params.n
-    count = 0
-    for y in range(n):
-        x = path.columns[y]
-        while x < m and m * y - n * (x + 1) >= 0:
-            count += 1
-            x += 1
-    return count
+    return sum(m * y // n - x for y, x in enumerate(path.columns))
 
 
 def interior_points(path: DyckPath) -> tuple[Point, ...]:
@@ -213,31 +209,21 @@ def hplus(path: DyckPath) -> int:
     can be an equality, which is checked.
     """
     m, n = path.params.m, path.params.n
+    # bit d of e_seen is set for each E step so far that starts at offset d;
+    # every vertex has d >= 0, so each shift below is nonnegative
+    window = (1 << (m + n - 1)) - 1  # offsets DN + 1 .. DN + m + n - 1
     count = 0
+    e_seen = 0
     d = 0
-    n_starts: list[int] = []  # d at the base of each N step, in path order
-    e_after: list[int] = []  # d at the left end of each E step, in path order
     for s in path.steps:
         if s == "N":
-            n_starts.append(d)
+            if (e_seen >> d) & 1 or (e_seen >> (d + m + n)) & 1:
+                raise RuntimeError("degenerate offset-interval contact")
+            count += ((e_seen >> (d + 1)) & window).bit_count()
             d += m
         else:
-            e_after.append(d)
+            e_seen |= 1 << d
             d -= n
-    # walk again pairing each E with the N steps that follow it
-    seen_n = 0
-    e_idx = 0
-    for s in path.steps:
-        if s == "N":
-            seen_n += 1
-            continue
-        de = e_after[e_idx]
-        e_idx += 1
-        for dn in n_starts[seen_n:]:
-            if dn == de or de - n == dn + m:
-                raise RuntimeError("degenerate offset-interval contact")
-            if dn < de and de - n < dn + m:
-                count += 1
     return count
 
 
@@ -254,16 +240,19 @@ def opairs(path: DyckPath) -> int:
 
 
 def corners(path: DyckPath) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
-    """(outer, inner) turning vertices: N-then-E and E-then-N, endpoints excluded."""
-    outer: list[Point] = []
-    inner: list[Point] = []
-    for i in range(1, len(path.steps)):
-        prev, nxt = path.steps[i - 1], path.steps[i]
-        if prev == "N" and nxt == "E":
-            outer.append(path.vertices[i])
-        elif prev == "E" and nxt == "N":
-            inner.append(path.vertices[i])
-    return tuple(outer), tuple(inner)
+    """(outer, inner) turning vertices: N-then-E and E-then-N, endpoints excluded.
+
+    Row y's N step ends in an outer corner iff the next row's N step (or
+    the endpoint, at the top) lies further right, and starts at an inner
+    corner iff it lies right of row y-1's.  The first step is always N and
+    the last always E, so the endpoints are never counted.
+    """
+    cols = path.columns
+    outer = tuple(
+        (x, y + 1) for y, (x, nxt) in enumerate(zip(cols, (*cols[1:], path.params.m))) if nxt > x
+    )
+    inner = tuple((x, y) for y, (prev, x) in enumerate(zip(cols, cols[1:]), 1) if x > prev)
+    return outer, inner
 
 
 def pass_through_points(path: DyckPath) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
@@ -279,19 +268,64 @@ def pass_through_points(path: DyckPath) -> tuple[tuple[Point, ...], tuple[Point,
     return tuple(vertical), tuple(horizontal)
 
 
+def _most_distant(params: KnotParams, outer: tuple[Point, ...]) -> Point:
+    dists = [distance(params, v) for v in outer]
+    if len(set(dists)) != len(dists):
+        raise RuntimeError(f"corner distances collide: {dists}")
+    return outer[dists.index(max(dists))]
+
+
 def most_distant_outer(path: DyckPath) -> Point:
     """The unique outer corner farthest from the diagonal."""
-    outer, _ = corners(path)
-    dists = [distance(path.params, v) for v in outer]
-    assert len(set(dists)) == len(dists), "corner distances collide"
-    return outer[dists.index(max(dists))]
+    return _most_distant(path.params, corners(path)[0])
 
 
 def vstar(path: DyckPath) -> tuple[Point, ...]:
     """Outer corners with the most distant one removed."""
-    top = most_distant_outer(path)
     outer, _ = corners(path)
+    top = _most_distant(path.params, outer)
     return tuple(v for v in outer if v != top)
+
+
+def k_values(path: DyckPath, points: tuple[Point, ...]) -> tuple[int, ...]:
+    """k_of at each of points, from one walk over the path.
+
+    A step sweeps the offsets between its two ends, so the line at offset
+    dp crosses its interior iff dp < top < dp + length, with top the larger
+    end offset and length m for an N step, n for an E step.  The walk
+    records the top offsets of each kind as bit sets, and each count is the
+    number of bits in that window.
+    """
+    params = path.params
+    m, n = params.m, params.n
+    offsets = []
+    for p in points:
+        dp = distance(params, p)
+        if not (path.is_on(p) or (dp > 0 and path.is_strictly_below(p))):
+            raise ValueError(f"point {p} is neither on the path nor strictly below it")
+        offsets.append(dp)
+    n_tops = e_tops = 0
+    d = 0  # every vertex has d >= 0, so every shift is nonnegative
+    for s in path.steps:
+        if s == "N":
+            d += m
+            n_tops |= 1 << d
+        else:
+            e_tops |= 1 << d
+            d -= n
+    n_window = (1 << (m - 1)) - 1
+    e_window = (1 << (n - 1)) - 1
+    out = []
+    for p, dp in zip(points, offsets):
+        vertical = ((n_tops >> (dp + 1)) & n_window).bit_count()
+        horizontal = ((e_tops >> (dp + 1)) & e_window).bit_count()
+        if vertical != horizontal:
+            raise ValueError(
+                f"crossing counts at {p} disagree ({vertical} vertical, {horizontal} "
+                "horizontal): the point must be an interior point or a corner"
+            )
+        out.append(vertical)
+    return tuple(out)
 
 
 def k_of(path: DyckPath, p: Point) -> int:
@@ -304,27 +338,7 @@ def k_of(path: DyckPath, p: Point) -> int:
     agreement is checked.  At a pass-through vertex the two counts differ by
     one and the call is rejected.
     """
-    if not (path.is_on(p) or (distance(path.params, p) > 0 and path.is_strictly_below(p))):
-        raise ValueError(f"point {p} is neither on the path nor strictly below it")
-    m, n = path.params.m, path.params.n
-    dp = distance(path.params, p)
-    vertical = horizontal = 0
-    d = 0
-    for s in path.steps:
-        if s == "N":
-            if d < dp < d + m:
-                vertical += 1
-            d += m
-        else:
-            if d - n < dp < d:
-                horizontal += 1
-            d -= n
-    if vertical != horizontal:
-        raise ValueError(
-            f"crossing counts at {p} disagree ({vertical} vertical, {horizontal} "
-            "horizontal): the point must be an interior point or a corner"
-        )
-    return vertical
+    return k_values(path, (p,))[0]
 
 
 @dataclass(frozen=True)
@@ -341,15 +355,21 @@ class PathStats:
     kvals: dict[Point, int] = field(compare=False)
 
     def __post_init__(self) -> None:
-        assert len(self.outer) == len(self.inner) + 1
-        assert self.area == len(self.interior)
+        if len(self.outer) != len(self.inner) + 1:
+            raise ValueError(
+                f"{len(self.outer)} outer corners need {len(self.outer) - 1} inner ones, "
+                f"got {len(self.inner)}"
+            )
+        if self.area != len(self.interior):
+            raise ValueError(f"area {self.area} differs from {len(self.interior)} interior points")
 
 
 def path_stats(path: DyckPath) -> PathStats:
     """Compute every statistic; k-values cover corners and interior points."""
     outer, inner = corners(path)
     interior = interior_points(path)
-    kvals = {p: k_of(path, p) for p in (*outer, *inner, *interior)}
+    points = (*outer, *inner, *interior)
+    kvals = dict(zip(points, k_values(path, points)))
     return PathStats(
         area=area(path),
         hplus=hplus(path),

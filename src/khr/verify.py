@@ -21,7 +21,7 @@ from .dyck import (
     path_stats,
     rational_catalan,
 )
-from .formula import display_sum, genus, hhh_direct, hhh_path_term, superpolynomial
+from .formula import display_sum, genus, hhh_direct, hhh_terms, superpolynomial
 from .laurent import (
     A,
     ExponentTriple,
@@ -123,8 +123,8 @@ def cross_check(params: KnotParams, hhh: Optional[SweepResult] = None) -> CrossC
         expected_leaf_count=rational_catalan(params),
     )
     by_path = {str(leaf.path): leaf.value for leaf in result.leaves}
-    for path in enumerate_paths(params):
-        expected = Invariant(hhh_path_term(path), 1)
+    for path, term in zip(enumerate_paths(params), hhh_terms(params), strict=True):
+        expected = Invariant(term, 1)
         got = by_path.get(str(path))
         if got != expected:
             check.mismatches.append(

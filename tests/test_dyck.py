@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +16,11 @@ from khr.dyck import (
     hplus,
     interior_points,
     k_of,
+    k_values,
     most_distant_outer,
     opairs,
     pass_through_points,
+    PathStats,
     path_stats,
     rational_catalan,
     stats_json,
@@ -40,6 +43,15 @@ small_coprime = st.sampled_from(coprime_pairs(10))
 
 def path(m, n, word):
     return DyckPath.from_string(KnotParams(m, n), word)
+
+
+def link_path(m, n, word):
+    """A path for gcd(m, n) > 1, which KnotParams refuses: the only inputs
+    on which the tie checks can fire."""
+    params = object.__new__(KnotParams)
+    object.__setattr__(params, "m", m)
+    object.__setattr__(params, "n", n)
+    return DyckPath.from_string(params, word)
 
 
 class TestParams:
@@ -201,3 +213,80 @@ class TestInvariants:
         assert data["area"] == 1 and data["hplus"] == 0
         assert data["interior"] == [[1, 1]]
         assert data["kvals"]["1,1"] == 1
+
+
+class TestRewrittenStatistics:
+    """area, hplus and k_values over vstar against the Fraction oracles,
+    on every path of every knot with m + n <= 13."""
+
+    def test_every_path_up_to_13(self):
+        checked = 0
+        for params in coprime_pairs(13):
+            m, n = params.m, params.n
+            for p in enumerate_paths(params):
+                word = str(p)
+                assert area(p) == brute_area(m, n, word), word
+                assert hplus(p) == brute_hplus(m, n, word), word
+                corners_v = brute_vstar(m, n, word)
+                assert list(vstar(p)) == corners_v, word
+                expected = []
+                for v in corners_v:
+                    bv, bh = brute_k(m, n, word, v)
+                    assert bv == bh
+                    expected.append(bv)
+                assert k_values(p, vstar(p)) == tuple(expected), word
+                checked += 1
+        assert checked == sum(rational_catalan(q) for q in coprime_pairs(13))
+
+    def test_k_values_is_k_of_at_each_point(self):
+        p = path(5, 3, "NENNEEEE")
+        outer, inner = corners(p)
+        points = (*outer, *inner, *interior_points(p))
+        assert k_values(p, points) == tuple(k_of(p, v) for v in points)
+        assert k_values(p, ()) == ()
+
+    def test_k_values_rejects_any_bad_point(self):
+        p = path(3, 2, "NNEEE")
+        with pytest.raises(ValueError):
+            k_values(p, ((1, 1), (0, 1)))  # (0, 1) is a pass-through vertex
+        with pytest.raises(ValueError):
+            k_values(path(3, 2, "NENEE"), ((0, 1), (0, 2)))  # (0, 2) is above
+
+
+class TestGuardsRaise:
+    """Checks that must raise, not assert, so they survive python -O."""
+
+    def test_degenerate_contact(self):
+        # (3, 3): the E step from (0, 1) and the N step from (1, 2) start
+        # on one diagonal-parallel line
+        with pytest.raises(RuntimeError, match="degenerate"):
+            hplus(link_path(3, 3, "NENNEE"))
+
+    def test_corner_collision(self):
+        p = link_path(3, 3, "NENENE")
+        with pytest.raises(RuntimeError, match="collide"):
+            most_distant_outer(p)
+        with pytest.raises(RuntimeError, match="collide"):
+            vstar(p)
+
+    def test_catalan_divisibility(self):
+        with pytest.raises(ValueError, match="not divisible"):
+            rational_catalan(SimpleNamespace(m=2, n=2))
+
+    def test_path_stats_consistency(self):
+        good = path_stats(path(3, 2, "NENEE"))
+        fields = dict(
+            area=good.area,
+            hplus=good.hplus,
+            outer=good.outer,
+            inner=good.inner,
+            vstar=good.vstar,
+            interior=good.interior,
+            opairs=good.opairs,
+            kvals=good.kvals,
+        )
+        assert PathStats(**fields) == good
+        with pytest.raises(ValueError, match="inner"):
+            PathStats(**{**fields, "inner": ()})
+        with pytest.raises(ValueError, match="interior"):
+            PathStats(**{**fields, "area": 1})

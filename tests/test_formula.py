@@ -1,14 +1,22 @@
+from functools import reduce
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import khr.formula
-from khr.dyck import DyckPath, KnotParams, coprime_pairs
+from khr.dyck import DyckPath, KnotParams, coprime_pairs, enumerate_paths
 from khr.formula import (
+    display_corner_product,
     euler_characteristic,
     genus,
+    hhh_corner_product,
     hhh_direct,
     hhh_path_term,
+    hhh_terms,
     normalization,
+    path_data,
+    path_record,
     path_summand,
     superpolynomial,
 )
@@ -32,6 +40,10 @@ class TestNormalization:
     def test_prefactor_exponents(self):
         norm = normalization(KnotParams(4, 3))
         assert norm.prefactor == mono(1, ea=3, q2=-3, t2=-3)
+
+    def test_genus_parity_raises(self):
+        with pytest.raises(ValueError, match="odd"):
+            genus(SimpleNamespace(m=2, n=2))
 
 
 class TestPathSummand:
@@ -111,3 +123,53 @@ class TestEulerCharacteristic:
 
     def test_zero(self):
         assert euler_characteristic(Invariant(ZERO, 0)) == Invariant(ZERO, 0)
+
+
+def as_poly(product):
+    return LaurentPoly({(ea, q2, 0): c for (ea, q2), c in product.items()})
+
+
+class TestCornerProducts:
+    """Each k-multiset's expansion against a plain LaurentPoly product fold."""
+
+    ks_lists = st.lists(st.integers(min_value=-4, max_value=15), max_size=9)
+
+    @given(ks_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_hhh_product(self, ks):
+        fold = reduce(lambda acc, k: acc * (q_power(k) - A), ks, ONE)
+        assert as_poly(hhh_corner_product(ks)) == fold
+
+    @given(ks_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_display_product(self, ks):
+        fold = reduce(lambda acc, k: acc * (ONE - mono(1, ea=1, q2=-2 * k)), ks, ONE)
+        assert as_poly(display_corner_product(ks)) == fold
+
+
+class TestPathData:
+    @given(small_coprime)
+    @settings(max_examples=20, deadline=None)
+    def test_aligned_with_enumeration(self, params):
+        paths = enumerate_paths(params)
+        assert path_data(params) == tuple(path_record(p) for p in paths)
+        assert list(hhh_terms(params)) == [hhh_path_term(p) for p in paths]
+
+    def test_record_shape(self):
+        # NENEE: hplus 1, area 0, one trimmed corner (0, 1) with k = 1
+        assert path_record(path(3, 2, "NENEE")) == (0, 1, (1,))
+        assert path_record(path(3, 2, "NNEEE")) == (1, 0, ())
+
+
+class TestBoundedCaches:
+    def test_currsize_stays_within_maxsize(self):
+        caches = (path_data, hhh_direct, superpolynomial)
+        bound = max(cache.cache_info().maxsize for cache in caches)
+        knots = coprime_pairs(12)
+        assert len(knots) > bound
+        for params in knots:
+            superpolynomial(params)
+            for cache in caches:
+                info = cache.cache_info()
+                assert info.maxsize is not None
+                assert info.currsize <= info.maxsize

@@ -1,0 +1,95 @@
+"""Correctness guards are explicit raises, so `python -O` keeps them and
+prints the same results."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import khr
+
+SRC = str(Path(khr.__file__).resolve().parents[1])
+
+# Trips each guard once and prints its exception type; a guard that was an
+# assert would print "missed" under -O.
+GUARDS = r"""
+import sys
+from types import SimpleNamespace
+
+import khr.formula as formula
+from khr.dyck import (
+    DyckPath, KnotParams, PathStats, hplus, k_of, path_stats, rational_catalan, vstar,
+)
+from khr.laurent import Invariant, ONE
+
+
+def link_path(m, n, word):
+    params = object.__new__(KnotParams)
+    object.__setattr__(params, "m", m)
+    object.__setattr__(params, "n", n)
+    return DyckPath.from_string(params, word)
+
+
+def stats_with(**changes):
+    s = path_stats(DyckPath.from_string(KnotParams(3, 2), "NENEE"))
+    fields = {f: getattr(s, f) for f in PathStats.__dataclass_fields__}
+    return PathStats(**{**fields, **changes})
+
+
+def mismatch():
+    formula.hhh_direct = lambda params: Invariant(ONE, 1)
+    formula.superpolynomial.__wrapped__(KnotParams(3, 2))
+
+
+checks = [
+    ("k agreement", lambda: k_of(DyckPath.from_string(KnotParams(3, 2), "NNEEE"), (0, 1))),
+    ("degenerate contact", lambda: hplus(link_path(3, 3, "NENNEE"))),
+    ("corner collision", lambda: vstar(link_path(3, 3, "NENENE"))),
+    ("catalan divisibility", lambda: rational_catalan(SimpleNamespace(m=2, n=2))),
+    ("genus parity", lambda: formula.genus(SimpleNamespace(m=2, n=2))),
+    ("corner count", lambda: stats_with(inner=())),
+    ("area", lambda: stats_with(area=1)),
+    ("normalization", mismatch),
+]
+print("optimize", sys.flags.optimize)
+for name, check in checks:
+    try:
+        check()
+    except (ValueError, RuntimeError) as exc:
+        print(name, type(exc).__name__)
+    else:
+        print(name, "missed")
+"""
+
+
+def khr_python(*args):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = SRC
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_outputs_unchanged_under_optimize():
+    for command in (["compute", "7", "5"], ["verify", "5", "3"]):
+        plain = khr_python("-m", "khr", *command)
+        optimized = khr_python("-O", "-m", "khr", *command)
+        assert plain.returncode == optimized.returncode == 0, optimized.stderr
+        assert plain.stdout == optimized.stdout
+        assert plain.stdout
+
+
+def test_guards_raise_under_optimize():
+    result = khr_python("-O", "-c", GUARDS)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "k agreement ValueError",
+        "degenerate contact RuntimeError",
+        "corner collision RuntimeError",
+        "catalan divisibility ValueError",
+        "genus parity ValueError",
+        "corner count ValueError",
+        "area ValueError",
+        "normalization RuntimeError",
+    ]
