@@ -268,7 +268,9 @@ def pass_through_points(path: DyckPath) -> tuple[tuple[Point, ...], tuple[Point,
     return tuple(vertical), tuple(horizontal)
 
 
-def _most_distant(params: KnotParams, outer: tuple[Point, ...]) -> Point:
+def most_distant(params: KnotParams, outer: tuple[Point, ...]) -> Point:
+    """The corner of outer farthest from the diagonal; any two corners
+    at equal distance raise."""
     dists = [distance(params, v) for v in outer]
     if len(set(dists)) != len(dists):
         raise RuntimeError(f"corner distances collide: {dists}")
@@ -277,13 +279,13 @@ def _most_distant(params: KnotParams, outer: tuple[Point, ...]) -> Point:
 
 def most_distant_outer(path: DyckPath) -> Point:
     """The unique outer corner farthest from the diagonal."""
-    return _most_distant(path.params, corners(path)[0])
+    return most_distant(path.params, corners(path)[0])
 
 
 def vstar(path: DyckPath) -> tuple[Point, ...]:
     """Outer corners with the most distant one removed."""
     outer, _ = corners(path)
-    top = _most_distant(path.params, outer)
+    top = most_distant(path.params, outer)
     return tuple(v for v in outer if v != top)
 
 
@@ -367,6 +369,7 @@ class PathStats:
 def path_stats(path: DyckPath) -> PathStats:
     """Compute every statistic; k-values cover corners and interior points."""
     outer, inner = corners(path)
+    top = most_distant(path.params, outer)
     interior = interior_points(path)
     points = (*outer, *inner, *interior)
     kvals = dict(zip(points, k_values(path, points)))
@@ -375,7 +378,7 @@ def path_stats(path: DyckPath) -> PathStats:
         hplus=hplus(path),
         outer=outer,
         inner=inner,
-        vstar=vstar(path),
+        vstar=tuple(v for v in outer if v != top),
         interior=interior,
         opairs=opairs(path),
         kvals=kvals,

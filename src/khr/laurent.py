@@ -31,6 +31,10 @@ class ExponentTriple(NamedTuple):
 
 _TripleLike = Union[ExponentTriple, tuple]
 
+# builds an ExponentTriple from a 3-tuple without the Python-level
+# NamedTuple constructor; the hot loops in LaurentPoly.__mul__ use it
+_new_triple = tuple.__new__
+
 
 class LaurentPoly:
     """Sparse Laurent polynomial in a, q^(1/2), t^(1/2) over the integers."""
@@ -120,10 +124,23 @@ class LaurentPoly:
 
     def __mul__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         other = self._coerce(other)
+        terms, factor = self._terms, other._terms
+        if len(terms) == 1:
+            terms, factor = factor, terms
+        if len(factor) == 1:
+            # a one-term factor shifts every key by one exponent: the keys
+            # stay distinct and no coefficient cancels
+            ((ea2, q2, t2), c2), = factor.items()
+            result = LaurentPoly()
+            result._terms = {
+                _new_triple(ExponentTriple, (ea1 + ea2, q1 + q2, t1 + t2)): c1 * c2
+                for (ea1, q1, t1), c1 in terms.items()
+            }
+            return result
         out: dict[ExponentTriple, int] = {}
-        for (ea1, q1, t1), c1 in self._terms.items():
-            for (ea2, q2, t2), c2 in other._terms.items():
-                exp = ExponentTriple(ea1 + ea2, q1 + q2, t1 + t2)
+        for (ea1, q1, t1), c1 in terms.items():
+            for (ea2, q2, t2), c2 in factor.items():
+                exp = _new_triple(ExponentTriple, (ea1 + ea2, q1 + q2, t1 + t2))
                 s = out.get(exp, 0) + c1 * c2
                 if s:
                     out[exp] = s

@@ -23,14 +23,15 @@ Each branch of the fork tree multiplies weights drawn from a pluggable
 profile and ends when the last interval contracts, contributing the
 profile's base value.  One leaf arises per (m, n)-Dyck path: the region the
 chosen intervals sweep is bounded by that path, and the leaf's rule tags are
-reconstructed into the path and validated against its statistics.
+reconstructed into the path and validated against its statistics.  The tree
+does not depend on the weights, so one traversal serves several profiles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Mapping
 
 from .dyck import (
     DyckPath,
@@ -38,11 +39,10 @@ from .dyck import (
     Point,
     corners,
     interior_points,
-    k_of,
-    most_distant_outer,
+    k_values,
+    most_distant,
     pass_through_points,
     rational_catalan,
-    vstar,
 )
 from .laurent import A, Invariant, LaurentPoly, ONE, T, poly_sum, q_power
 
@@ -138,7 +138,8 @@ def event_list(params: KnotParams) -> list[Event]:
         if 0 < m * y - n * x <= m * n
     ]
     events.sort(key=lambda e: (e.d, e.p[0]))
-    assert len({e.d for e in events}) == len(events), "event heights collide"
+    if len({e.d for e in events}) != len(events):
+        raise RuntimeError(f"event heights collide for ({m}, {n})")
     return events
 
 
@@ -181,6 +182,19 @@ class Transition:
     weight_k: int | None  # argument passed to the profile's weight function
 
 
+def _contracted(state: Coloring, idx: int) -> Coloring:
+    """state without interval idx."""
+    return Coloring(state.params, state.intervals[:idx] + state.intervals[idx + 1 :])
+
+
+def _cut(state: Coloring, idx: int, p: Point) -> Coloring:
+    """state with interval idx, (a, b), cut at p = (x, y) into (a, y) and (x, b)."""
+    iv = state.intervals[idx]
+    x, y = p
+    halves = (Interval(iv.start_col, y), Interval(x, iv.end_row))
+    return Coloring(state.params, state.intervals[:idx] + halves + state.intervals[idx + 1 :])
+
+
 def apply_rule(state: Coloring, p: Point, rule: Rule) -> tuple[Transition, ...]:
     """Successor states for the rule firing at p.
 
@@ -194,24 +208,16 @@ def apply_rule(state: Coloring, p: Point, rule: Rule) -> tuple[Transition, ...]:
     k = state.k
     if rule is Rule.NOOP:
         return (Transition(state, Rule.NOOP, None),)
-    assert idx is not None
-    iv = state.intervals[idx]
+    if idx is None:
+        raise RuntimeError(f"rule {rule} fires at {p} on no interval")
     if rule is Rule.CONTRACT:
-        rest = state.intervals[:idx] + state.intervals[idx + 1 :]
         if k == 1:
-            return (Transition(Coloring(state.params, rest), Rule.TERMINAL, None),)
-        return (Transition(Coloring(state.params, rest), Rule.CONTRACT, k - 1),)
+            return (Transition(_contracted(state, idx), Rule.TERMINAL, None),)
+        return (Transition(_contracted(state, idx), Rule.CONTRACT, k - 1),)
     if rule in (Rule.START_PASS, Rule.END_PASS):
         return (Transition(state, rule, k),)
-    # Branch: cut (a, b) into (a, y) and (x, b), or keep it whole
-    x, y = p
-    cut = (
-        state.intervals[:idx]
-        + (Interval(iv.start_col, y), Interval(x, iv.end_row))
-        + state.intervals[idx + 1 :]
-    )
     return (
-        Transition(Coloring(state.params, cut), Rule.SPLIT, k),
+        Transition(_cut(state, idx, p), Rule.SPLIT, k),
         Transition(state, Rule.KEEP, k),
     )
 
@@ -224,34 +230,25 @@ class WeightProfile:
     for the other rules."""
 
     name: str
-    contract: Callable[[int], LaurentPoly]
-    start_pass: Callable[[int], LaurentPoly]
-    end_pass: Callable[[int], LaurentPoly]
-    split: Callable[[int], LaurentPoly]
-    keep: Callable[[int], LaurentPoly]
+    weights: Mapping[Rule, Callable[[int], LaurentPoly]] = field(hash=False)
     base: Invariant
 
     def weight(self, tag: Rule, k: int) -> LaurentPoly:
-        if tag is Rule.CONTRACT:
-            return self.contract(k)
-        if tag is Rule.START_PASS:
-            return self.start_pass(k)
-        if tag is Rule.END_PASS:
-            return self.end_pass(k)
-        if tag is Rule.SPLIT:
-            return self.split(k)
-        if tag is Rule.KEEP:
-            return self.keep(k)
-        raise ValueError(f"no weight attached to {tag}")
+        rule_weight = self.weights.get(tag)
+        if rule_weight is None:
+            raise ValueError(f"no weight attached to {tag}")
+        return rule_weight(k)
 
 
 HHH_PROFILE = WeightProfile(
     name="HHH",
-    contract=lambda k: q_power(k) - A,
-    start_pass=lambda k: ONE,
-    end_pass=lambda k: ONE,
-    split=lambda k: q_power(-k),
-    keep=lambda k: T * q_power(-k),
+    weights={
+        Rule.CONTRACT: lambda k: q_power(k) - A,
+        Rule.START_PASS: lambda k: ONE,
+        Rule.END_PASS: lambda k: ONE,
+        Rule.SPLIT: lambda k: q_power(-k),
+        Rule.KEEP: lambda k: T * q_power(-k),
+    },
     base=Invariant(ONE, 1),
 )
 
@@ -260,11 +257,13 @@ HHH_PROFILE = WeightProfile(
 # pass rules acquire +-q^(k-1).
 TORIC_PROFILE = WeightProfile(
     name="I",
-    contract=lambda k: A - q_power(k),
-    start_pass=lambda k: -q_power(k - 1),
-    end_pass=lambda k: q_power(k - 1),
-    split=lambda k: LaurentPoly.monomial(1, q2=-1),
-    keep=lambda k: T,
+    weights={
+        Rule.CONTRACT: lambda k: A - q_power(k),
+        Rule.START_PASS: lambda k: -q_power(k - 1),
+        Rule.END_PASS: lambda k: q_power(k - 1),
+        Rule.SPLIT: lambda k: LaurentPoly.monomial(1, q2=-1),
+        Rule.KEEP: lambda k: T,
+    },
     base=Invariant(A - ONE, 0),
 )
 
@@ -315,32 +314,28 @@ def reconstruct_path(record: BranchRecord, params: KnotParams) -> DyckPath:
         by_rule.setdefault(rule, set()).add(p)
     keeps = by_rule.get(Rule.KEEP, set())
 
-    cols = []
-    for y in range(n):
-        row = [x for (x, yy) in keeps if yy == y]
-        if row:
-            col = min(row) - 1
-        else:
-            col = (m * y) // n
-        cols.append(col)
+    first_keep: dict[int, int] = {}
+    for x, y in keeps:
+        first_keep[y] = min(x, first_keep.get(y, x))
     steps: list[str] = []
     prev = 0
     for y in range(n):
-        if cols[y] < prev:
+        col = first_keep[y] - 1 if y in first_keep else (m * y) // n
+        if col < prev:
             raise RuntimeError(f"keep set {sorted(keeps)} yields no monotone path")
-        steps.extend("E" * (cols[y] - prev))
+        steps.extend("E" * (col - prev))
         steps.append("N")
-        prev = cols[y]
+        prev = col
     steps.extend("E" * (m - prev))
     path = DyckPath(params, tuple(steps))
 
     outer, inner = corners(path)
-    top = most_distant_outer(path)
+    top = most_distant(params, outer)
     vertical_pass, horizontal_pass = pass_through_points(path)
     expected = {
         Rule.KEEP: set(interior_points(path)),
         Rule.SPLIT: set(inner),
-        Rule.CONTRACT: set(vstar(path)),
+        Rule.CONTRACT: set(outer) - {top},
         Rule.START_PASS: set(vertical_pass),
         Rule.END_PASS: set(horizontal_pass),
     }
@@ -355,88 +350,98 @@ def reconstruct_path(record: BranchRecord, params: KnotParams) -> DyckPath:
         raise RuntimeError(
             f"terminal {record.terminal} is not the most distant corner {top} of {path}"
         )
-    for p, rule in record.tags.items():
-        if rule in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT):
-            expected_k = k_of(path, p)
-            if record.kvals[p] != expected_k:
-                raise RuntimeError(
-                    f"{rule.value} at {p} used k={record.kvals[p]} but the "
-                    f"path {path} has k={expected_k}"
-                )
+    weighted = tuple(
+        p for p, rule in record.tags.items() if rule in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT)
+    )
+    for p, expected_k in zip(weighted, k_values(path, weighted)):
+        if record.kvals[p] != expected_k:
+            raise RuntimeError(
+                f"{record.tags[p].value} at {p} used k={record.kvals[p]} but the "
+                f"path {path} has k={expected_k}"
+            )
     return path
 
 
-def evaluate(params: KnotParams, profile: WeightProfile) -> SweepResult:
-    """Explore every branch of the sweep and accumulate the profile's weights.
+def evaluate_profiles(
+    params: KnotParams, profiles: tuple[WeightProfile, ...]
+) -> tuple[SweepResult, ...]:
+    """Explore every branch of the sweep once, carrying one weight per profile.
 
-    Each leaf is reconstructed into its Dyck path and validated on the fly;
-    the leaf list comes back sorted by path (N before E), and the leaf count
-    is checked against the rational Catalan number.  Every leaf numerator
-    sits over the base's (1 - t) power, so the total is one sum of those
-    numerators, normalized once; each leaf also keeps its own normalized
-    value.
+    The branch tree does not depend on the weights, so each leaf is
+    reconstructed into its Dyck path and validated once, and every
+    profile's leaf shares that record and path.  The leaf lists come back
+    sorted by path (N before E), and the leaf count is checked against the
+    rational Catalan number.  Each rule's weights are looked up once per
+    interval count.  Every leaf numerator sits over its base's (1 - t)
+    power, so each total is one sum of those numerators, normalized once;
+    each leaf also keeps its own normalized value.
     """
     events = event_list(params)
-    leaves: list[Leaf] = []
-    numerators: list[LaurentPoly] = []
-    stack: list[tuple[int, Coloring, LaurentPoly, dict, dict]] = [
-        (0, initial_coloring(params), ONE, {}, {})
+    factors: dict[tuple[Rule, int], tuple[LaurentPoly, ...]] = {}
+
+    def charge(weights: tuple[LaurentPoly, ...], rule: Rule, k: int) -> tuple[LaurentPoly, ...]:
+        rule_factors = factors.get((rule, k))
+        if rule_factors is None:
+            rule_factors = factors[rule, k] = tuple(prof.weight(rule, k) for prof in profiles)
+        return tuple(w * f for w, f in zip(weights, rule_factors))
+
+    found: list[tuple[BranchRecord, DyckPath, tuple[LaurentPoly, ...]]] = []
+    stack: list[tuple[int, Coloring, tuple[LaurentPoly, ...], dict, dict]] = [
+        (0, initial_coloring(params), (ONE,) * len(profiles), {}, {})
     ]
     while stack:
-        i, state, weight, tags, kvals = stack.pop()
-        finished = False
+        i, state, weights, tags, kvals = stack.pop()
         while i < len(events):
-            ev = events[i]
-            for iv in state.intervals:
-                assert contract_distance(iv, params) >= ev.d, "dead interval survived"
-            rule, _ = classify(state, ev.p)
-            if rule is Rule.NOOP:
-                i += 1
-                continue
-            successors = apply_rule(state, ev.p, rule)
-            if len(successors) == 2:
-                cut, keep = successors
-                k = state.k
-                keep_tags = dict(tags)
-                keep_tags[ev.p] = Rule.KEEP
-                keep_kvals = dict(kvals)
-                keep_kvals[ev.p] = k
-                stack.append(
-                    (i + 1, keep.state, weight * profile.weight(Rule.KEEP, k), keep_tags, keep_kvals)
-                )
-                tags[ev.p] = Rule.SPLIT
-                kvals[ev.p] = k
-                weight = weight * profile.weight(Rule.SPLIT, k)
-                state = cut.state
-                i += 1
-                continue
-            step = successors[0]
-            if step.tag is Rule.TERMINAL:
-                record = BranchRecord(tags, kvals, ev.p)
-                num = weight * profile.base.num
-                numerators.append(num)
-                value = Invariant(num, profile.base.dpow)
-                path = reconstruct_path(record, params)
-                leaves.append(Leaf(record, path, value))
-                finished = True
-                break
-            tags[ev.p] = step.tag
-            if step.tag is Rule.CONTRACT:
-                kvals[ev.p] = step.weight_k
-            weight = weight * profile.weight(step.tag, step.weight_k)
-            state = step.state
+            p = events[i].p
             i += 1
-        if not finished:
+            rule, idx = classify(state, p)
+            if rule is Rule.NOOP:
+                continue
+            k = state.k
+            if rule is Rule.BRANCH:
+                keep_tags = dict(tags)
+                keep_tags[p] = Rule.KEEP
+                keep_kvals = dict(kvals)
+                keep_kvals[p] = k
+                stack.append((i, state, charge(weights, Rule.KEEP, k), keep_tags, keep_kvals))
+                rule = Rule.SPLIT
+                state = _cut(state, idx, p)
+                kvals[p] = k
+            elif rule is Rule.CONTRACT:
+                if k == 1:
+                    record = BranchRecord(tags, kvals, p)
+                    found.append((record, reconstruct_path(record, params), weights))
+                    break
+                k -= 1
+                state = _contracted(state, idx)
+                kvals[p] = k
+            tags[p] = rule
+            weights = charge(weights, rule, k)
+        else:
             raise RuntimeError("sweep exhausted its events with intervals still alive")
 
-    leaves.sort(key=lambda leaf: leaf.path.sort_key)
+    found.sort(key=lambda leaf: leaf[1].sort_key)
     expected = rational_catalan(params)
-    if len(leaves) != expected:
-        raise RuntimeError(f"{len(leaves)} leaves, expected {expected}")
-    if len({str(leaf.path) for leaf in leaves}) != len(leaves):
+    if len(found) != expected:
+        raise RuntimeError(f"{len(found)} leaves, expected {expected}")
+    if len({str(path) for _, path, _ in found}) != len(found):
         raise RuntimeError("duplicate leaf paths")
-    total = Invariant(poly_sum(numerators), profile.base.dpow)
-    return SweepResult(params, profile.name, total, leaves)
+    results = []
+    for j, profile in enumerate(profiles):
+        base = profile.base
+        numerators = [weights[j] * base.num for _, _, weights in found]
+        leaves = [
+            Leaf(record, path, Invariant(num, base.dpow))
+            for (record, path, _), num in zip(found, numerators)
+        ]
+        total = Invariant(poly_sum(numerators), base.dpow)
+        results.append(SweepResult(params, profile.name, total, leaves))
+    return tuple(results)
+
+
+def evaluate(params: KnotParams, profile: WeightProfile) -> SweepResult:
+    """The sweep of one profile: evaluate_profiles with that profile alone."""
+    return evaluate_profiles(params, (profile,))[0]
 
 
 def leaf_table_json(result: SweepResult) -> list[dict]:

@@ -31,7 +31,14 @@ from .laurent import (
     monomial_ratio,
     specialize_count,
 )
-from .sweep import HHH_PROFILE, TORIC_PROFILE, SweepResult, evaluate, initial_coloring
+from .sweep import (
+    HHH_PROFILE,
+    TORIC_PROFILE,
+    SweepResult,
+    evaluate,
+    evaluate_profiles,
+    initial_coloring,
+)
 
 
 @dataclass(frozen=True)
@@ -202,12 +209,17 @@ def _pretty_monomial(sign: int, exp: ExponentTriple, magnitude: int) -> str:
     return body if sign > 0 else f"-{body}"
 
 
-def leaf_ratio_report(params: KnotParams, hhh: Optional[SweepResult] = None) -> RatioReport:
-    """Ratio table of the scalar sweep against the HHH sweep of params
-    (hhh, or a fresh one)."""
-    if hhh is None:
-        hhh = evaluate(params, HHH_PROFILE)
-    toric = evaluate(params, TORIC_PROFILE)
+def leaf_ratio_report(
+    params: KnotParams,
+    hhh: Optional[SweepResult] = None,
+    toric: Optional[SweepResult] = None,
+) -> RatioReport:
+    """Ratio table of the scalar sweep (toric) against the HHH sweep (hhh)
+    of params; a sweep not given comes from one fresh traversal."""
+    if hhh is None or toric is None:
+        fresh_hhh, fresh_toric = evaluate_profiles(params, (HHH_PROFILE, TORIC_PROFILE))
+        hhh = fresh_hhh if hhh is None else hhh
+        toric = fresh_toric if toric is None else toric
     one_minus_a = ONE - A
     entries: list[RatioEntry] = []
     for h_leaf, t_leaf in zip(hhh.leaves, toric.leaves):
@@ -288,13 +300,19 @@ def run_suite(
 ) -> VerificationReport:
     """Run the selected suites (all by default) for one pair.
 
-    The HHH sweep runs at most once: "cross" and "ratios" share it.
+    The sweep runs at most once: "cross" and "ratios" share its HHH
+    result, and "ratios" has the scalar profile carried in the same
+    traversal.
     """
     selected = set(_SUITES) if suites is None else suites
     unknown = selected - set(_SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    hhh = evaluate(params, HHH_PROFILE) if selected & {"cross", "ratios"} else None
+    hhh = toric = None
+    if "ratios" in selected:
+        hhh, toric = evaluate_profiles(params, (HHH_PROFILE, TORIC_PROFILE))
+    elif "cross" in selected:
+        hhh = evaluate(params, HHH_PROFILE)
     return VerificationReport(
         m=params.m,
         n=params.n,
@@ -302,7 +320,7 @@ def run_suite(
         cross=cross_check(params, hhh) if "cross" in selected else None,
         catalan=catalan_check(params) if "catalan" in selected else None,
         symmetry=symmetry_checks(params) if "symmetry" in selected else None,
-        ratios=leaf_ratio_report(params, hhh) if "ratios" in selected else None,
+        ratios=leaf_ratio_report(params, hhh, toric) if "ratios" in selected else None,
         external_strict=external_strict,
     )
 

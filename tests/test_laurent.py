@@ -111,6 +111,46 @@ class TestArithmetic:
         assert p * (r + s) == p * r + p * s
 
 
+def convolve(p, r):
+    """p * r summed term by term, without LaurentPoly.__mul__."""
+    out = {}
+    for (a1, q1, t1), c1 in p.items():
+        for (a2, q2, t2), c2 in r.items():
+            key = (a1 + a2, q1 + q2, t1 + t2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return LaurentPoly(out)
+
+
+class TestMonomialProduct:
+    """A one-term factor multiplies by shifting every key."""
+
+    @given(
+        polys(),
+        st.integers(-3, 3),
+        st.integers(-6, 6),
+        st.integers(-6, 6),
+        st.integers(-20, 20).filter(bool),
+    )
+    def test_matches_convolution(self, p, ea, q2, t2, c):
+        m = mono(c, ea, q2, t2)
+        expected = convolve(p, m)
+        for product in (p * m, m * p):
+            assert product == expected
+            assert all(type(exp) is ExponentTriple for exp, _ in product.items())
+
+    @given(polys(), st.integers(-20, 20))
+    def test_scalar_matches_convolution(self, p, c):
+        expected = convolve(p, LaurentPoly({(0, 0, 0): c}))
+        assert c * p == p * c == expected
+        assert not (0 * p)
+
+    @given(st.integers(-3, 3), st.integers(-6, 6), st.integers(-6, 6), st.integers(-20, 20).filter(bool))
+    def test_zero_polynomial(self, ea, q2, t2, c):
+        m = mono(c, ea, q2, t2)
+        assert len(ZERO * m) == len(m * ZERO) == 0
+        assert m * m == convolve(m, m)
+
+
 class TestStructureMaps:
     def test_swap_qt_symmetric_input(self):
         assert (Q + T).swap_qt() == Q + T

@@ -17,23 +17,37 @@ import sys
 from types import SimpleNamespace
 
 import khr.formula as formula
+import khr.sweep as sweep
 from khr.dyck import (
     DyckPath, KnotParams, PathStats, hplus, k_of, path_stats, rational_catalan, vstar,
 )
 from khr.laurent import Invariant, ONE
 
 
-def link_path(m, n, word):
+def link_params(m, n):
     params = object.__new__(KnotParams)
     object.__setattr__(params, "m", m)
     object.__setattr__(params, "n", n)
-    return DyckPath.from_string(params, word)
+    return params
+
+
+def link_path(m, n, word):
+    return DyckPath.from_string(link_params(m, n), word)
 
 
 def stats_with(**changes):
     s = path_stats(DyckPath.from_string(KnotParams(3, 2), "NENEE"))
     fields = {f: getattr(s, f) for f in PathStats.__dataclass_fields__}
     return PathStats(**{**fields, **changes})
+
+
+def rule_without_interval():
+    classify = sweep.classify
+    sweep.classify = lambda state, p: (sweep.Rule.CONTRACT, None)
+    try:
+        sweep.apply_rule(sweep.initial_coloring(KnotParams(3, 2)), (0, 2), sweep.Rule.CONTRACT)
+    finally:
+        sweep.classify = classify
 
 
 def mismatch():
@@ -49,6 +63,8 @@ checks = [
     ("genus parity", lambda: formula.genus(SimpleNamespace(m=2, n=2))),
     ("corner count", lambda: stats_with(inner=())),
     ("area", lambda: stats_with(area=1)),
+    ("event collision", lambda: sweep.event_list(link_params(2, 2))),
+    ("rule without interval", rule_without_interval),
     ("normalization", mismatch),
 ]
 print("optimize", sys.flags.optimize)
@@ -91,5 +107,7 @@ def test_guards_raise_under_optimize():
         "genus parity ValueError",
         "corner count ValueError",
         "area ValueError",
+        "event collision RuntimeError",
+        "rule without interval RuntimeError",
         "normalization RuntimeError",
     ]

@@ -16,7 +16,9 @@ from khr.sweep import (
     TORIC_PROFILE,
     apply_rule,
     classify,
+    contract_distance,
     evaluate,
+    evaluate_profiles,
     event_list,
     initial_coloring,
     leaf_table_json,
@@ -142,6 +144,11 @@ class TestProfiles:
         assert TORIC_PROFILE.weight(Rule.KEEP, 5) == T
         assert TORIC_PROFILE.base == Invariant(A - ONE, 0)
 
+    def test_untagged_rules_have_no_weight(self):
+        for rule in (Rule.BRANCH, Rule.NOOP, Rule.TERMINAL):
+            with pytest.raises(ValueError, match="no weight"):
+                HHH_PROFILE.weight(rule, 1)
+
 
 class TestEvaluateHHH:
     def test_trefoil_total(self):
@@ -209,6 +216,58 @@ class TestTotal:
         monkeypatch.setattr(khr.sweep, "rational_catalan", lambda params: 3)
         with pytest.raises(RuntimeError, match="leaves, expected 3"):
             evaluate(KnotParams(3, 2), HHH_PROFILE)
+
+
+class TestDeadIntervals:
+    def test_no_interval_outlives_its_contraction(self):
+        # walk every branch with the public rule functions: at each event,
+        # every live interval still contracts at or above the event height
+        for params in coprime_pairs(11):
+            events = event_list(params)
+            leaves = 0
+            stack = [(0, initial_coloring(params))]
+            while stack:
+                start, state = stack.pop()
+                for i in range(start, len(events)):
+                    ev = events[i]
+                    for iv in state.intervals:
+                        assert contract_distance(iv, params) >= ev.d, (params, ev, state)
+                    rule, _ = classify(state, ev.p)
+                    successors = apply_rule(state, ev.p, rule)
+                    if successors[0].tag is Rule.TERMINAL:
+                        leaves += 1
+                        break
+                    if len(successors) == 2:
+                        stack.append((i + 1, successors[1].state))
+                    state = successors[0].state
+                else:
+                    pytest.fail(f"{params}: events exhausted with intervals alive")
+            assert leaves == rational_catalan(params)
+
+
+class TestSharedTraversal:
+    def test_matches_separate_sweeps(self):
+        profiles = (HHH_PROFILE, TORIC_PROFILE)
+        for params in coprime_pairs(12):
+            shared = evaluate_profiles(params, profiles)
+            assert [result.profile for result in shared] == ["HHH", "I"]
+            for result, profile in zip(shared, profiles, strict=True):
+                alone = evaluate(params, profile)
+                assert result.params == alone.params
+                assert result.total == alone.total
+                assert [str(leaf.path) for leaf in result.leaves] == [
+                    str(leaf.path) for leaf in alone.leaves
+                ]
+                assert [leaf.record for leaf in result.leaves] == [
+                    leaf.record for leaf in alone.leaves
+                ]
+                assert [leaf.value for leaf in result.leaves] == [
+                    leaf.value for leaf in alone.leaves
+                ]
+            hhh, toric = shared
+            for h_leaf, t_leaf in zip(hhh.leaves, toric.leaves, strict=True):
+                assert h_leaf.record is t_leaf.record
+                assert h_leaf.path is t_leaf.path
 
 
 class TestEvaluateToric:

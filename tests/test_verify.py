@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import khr.verify
 from khr.dyck import KnotParams, coprime_pairs
-from khr.sweep import HHH_PROFILE, TORIC_PROFILE, evaluate
+from khr.sweep import HHH_PROFILE, TORIC_PROFILE, evaluate, evaluate_profiles
 from khr.verify import (
     catalan_check,
     cross_check,
@@ -139,23 +139,35 @@ class TestReport:
 
 class TestSharedSweep:
     def test_one_sweep_per_profile(self, monkeypatch):
-        calls = []
+        # one traversal per knot carries both profiles; no single-profile
+        # sweep runs beside it
+        traversals = []
+        single = []
 
-        def counting(params, profile):
-            calls.append((params, profile.name))
+        def counting_profiles(params, profiles):
+            traversals.append((params, tuple(profile.name for profile in profiles)))
+            return evaluate_profiles(params, profiles)
+
+        def counting_single(params, profile):
+            single.append((params, profile.name))
             return evaluate(params, profile)
 
-        monkeypatch.setattr(khr.verify, "evaluate", counting)
+        monkeypatch.setattr(khr.verify, "evaluate_profiles", counting_profiles)
+        monkeypatch.setattr(khr.verify, "evaluate", counting_single)
         knots = [KnotParams(3, 2), KnotParams(5, 3)]
         for params in knots:
             assert run_suite(params).overall_pass
-        assert calls == [(p, name) for p in knots for name in ("HHH", "I")]
+        assert traversals == [(p, ("HHH", "I")) for p in knots]
+        assert single == []
 
     def test_given_sweep_matches_fresh(self):
         params = KnotParams(5, 3)
         hhh = evaluate(params, HHH_PROFILE)
+        toric = evaluate(params, TORIC_PROFILE)
         assert cross_check(params, hhh) == cross_check(params)
         assert leaf_ratio_report(params, hhh) == leaf_ratio_report(params)
+        assert leaf_ratio_report(params, hhh, toric) == leaf_ratio_report(params)
+        assert leaf_ratio_report(params, toric=toric) == leaf_ratio_report(params)
 
     def test_wrong_sweep_detected(self):
         params = KnotParams(5, 3)
@@ -165,3 +177,7 @@ class TestSharedSweep:
             leaf_ratio_report(params, evaluate(params, TORIC_PROFILE))
         with pytest.raises(RuntimeError):
             leaf_ratio_report(params, evaluate(KnotParams(3, 5), HHH_PROFILE))
+        with pytest.raises(RuntimeError, match="not polynomial"):
+            leaf_ratio_report(params, toric=evaluate(params, HHH_PROFILE))
+        with pytest.raises(RuntimeError, match="leaf paths differ"):
+            leaf_ratio_report(params, toric=evaluate(KnotParams(3, 5), TORIC_PROFILE))
