@@ -245,21 +245,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         bound = _parse_range(args.range_spec)
         targets = [p for p in coprime_pairs(bound) if p.m >= p.n]
+        if not targets:
+            print(f"range {args.range_spec!r} selects no knot", file=sys.stderr)
+            return EXIT_USAGE
     elif args.m is not None and args.n is not None:
         targets = [KnotParams(args.m, args.n)]
     else:
         print("verify needs m n or --range 'msum<=K'", file=sys.stderr)
         return EXIT_USAGE
 
-    suites = set(args.suite) if args.suite else None
-    strict = not args.external_as_warnings
-    reports = []
+    # refuse before any work, not after verifying the knots below the bound
     for params in targets:
         message = _guard_size(params, args.max_leaves)
         if message:
             print(message, file=sys.stderr)
             return EXIT_USAGE
-        reports.append(run_suite(params, external_strict=strict, suites=suites))
+    suites = set(args.suite) if args.suite else None
+    strict = not args.external_as_warnings
+    reports = [run_suite(p, external_strict=strict, suites=suites) for p in targets]
     if args.format == "json":
         print(json.dumps([report_json(r) for r in reports], sort_keys=True))
     else:

@@ -147,10 +147,6 @@ class DyckPath:
         x, y = p
         return 0 <= y <= self.params.n and x > self.row_span(y)[1]
 
-    def is_strictly_above(self, p: Point) -> bool:
-        x, y = p
-        return 0 <= y <= self.params.n and x < self.row_span(y)[0]
-
 
 @lru_cache(maxsize=64)
 def enumerate_paths(params: KnotParams) -> tuple[DyckPath, ...]:

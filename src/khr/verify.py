@@ -21,7 +21,7 @@ from .dyck import (
     path_stats,
     rational_catalan,
 )
-from .formula import display_sum, genus, hhh_direct, hhh_terms, superpolynomial
+from .formula import genus, hhh_direct, hhh_terms, superpolynomial
 from .laurent import (
     A,
     ExponentTriple,
@@ -254,10 +254,17 @@ def leaf_ratio_report(
 
 
 def sign_structure_ok(params: KnotParams) -> bool:
-    """In the un-prefactored display sum, every a^j coefficient carries sign
-    (-1)^j; the normalized numerator is a^genus (qt)^(-genus/2) times that
-    sum, so its signs alternate starting from + at a-degree genus."""
-    return all((c > 0) == (exp.ea % 2 == 0) for exp, c in display_sum(params).items())
+    """In the unnormalized numerator every a^j coefficient carries sign
+    (-1)^j.  That numerator is q^(-genus) times the sum of the display
+    summands t^area q^hplus prod (1 - a q^(-k)), and the normalized one is
+    a^genus q^(genus/2) t^(-genus/2) times it, so the normalized signs
+    alternate starting from + at a-degree genus."""
+    series = hhh_direct(params)
+    if series.dpow != 1:
+        raise RuntimeError(
+            f"unnormalized series of {params} is over (1-t)^{series.dpow}, not (1-t)"
+        )
+    return all((c > 0) == (exp.ea % 2 == 0) for exp, c in series.num.items())
 
 
 _SUITES = ("identities", "cross", "catalan", "symmetry", "ratios")

@@ -7,6 +7,8 @@ this file (brute-force enumeration with Fraction arithmetic) instead of
 trusting the package under test.
 """
 
+import math
+
 from khr.dyck import KnotParams, coprime_pairs, k_of, rational_catalan
 from khr.formula import genus, superpolynomial
 from khr.laurent import Invariant, LaurentPoly, ONE
@@ -39,6 +41,23 @@ def test_criterion_01_unknot_family():
     _report("1 unknot family P(1,n) = 1/(1-t), n <= 20", failures)
 
 
+def _brute_superpolynomial(m: int, n: int, failures: list) -> Invariant:
+    """(a (qt)^(-1/2))^genus / (1-t) times the sum over paths of
+    t^area q^hplus prod (1 - a q^(-k)), from the Fraction-based oracles
+    alone; an unbalanced crossing count is recorded in failures."""
+    g = (m - 1) * (n - 1) // 2
+    total = LaurentPoly.zero()
+    for word in brute_paths(m, n):
+        summand = mono(1, q2=2 * brute_hplus(m, n, word), t2=2 * brute_area(m, n, word))
+        for v in brute_vstar(m, n, word):
+            kv, kh = brute_k(m, n, word, v)
+            if kv != kh:
+                failures.append(f"unbalanced k at {v} on {word}")
+            summand = summand * (ONE - mono(1, ea=1, q2=-2 * kv))
+        total = total + summand
+    return Invariant(mono(1, ea=g, q2=-g, t2=-g) * total, 1)
+
+
 def test_criterion_02_trefoil_rederived_by_brute_force():
     failures = []
     m, n = 3, 2
@@ -47,16 +66,7 @@ def test_criterion_02_trefoil_rederived_by_brute_force():
     words = brute_paths(m, n)
     if words != ["NNEEE", "NENEE"]:
         failures.append(f"brute enumeration gave {words}")
-    total = LaurentPoly.zero()
-    for word in words:
-        summand = mono(1, q2=2 * brute_hplus(m, n, word), t2=2 * brute_area(m, n, word))
-        for v in brute_vstar(m, n, word):
-            kv, kh = brute_k(m, n, word, v)
-            if kv != kh:
-                failures.append(f"unbalanced k at {v} on {word}")
-            summand = summand * (ONE - mono(1, ea=1, q2=-2 * kv))
-        total = total + summand
-    oracle = Invariant(mono(1, ea=1, q2=-1, t2=-1) * total, 1)
+    oracle = _brute_superpolynomial(m, n, failures)
 
     hand_value = Invariant(
         mono(1, ea=1, q2=-1, t2=-1)
@@ -70,6 +80,18 @@ def test_criterion_02_trefoil_rederived_by_brute_force():
     if superpolynomial(KnotParams(2, 3)) != oracle:
         failures.append("P(2,3) differs from the brute-force oracle")
     _report("2 trefoil value re-derived by brute force", failures)
+
+
+def test_criterion_02_every_knot_to_msum_12_rederived_by_brute_force():
+    failures = []
+    for s in range(2, 13):
+        for m in range(1, s):
+            n = s - m
+            if math.gcd(m, n) != 1:
+                continue
+            if superpolynomial(KnotParams(m, n)) != _brute_superpolynomial(m, n, failures):
+                failures.append(f"P({m},{n}) differs from the brute-force oracle")
+    _report("2 P(m,n) re-derived by brute force, m+n <= 12", failures)
 
 
 def test_criterion_03_cross_evaluator_oracle():

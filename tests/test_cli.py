@@ -145,6 +145,19 @@ class TestVerify:
         assert code == 0
         assert out.count("overall: pass") == sum(1 for _ in _range_pairs(5))
 
+    def test_range_refused_before_any_knot_runs(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_suite", lambda params, **kwargs: ran.append(params))
+        code, out, err = run(capsys, "verify", "--range", "msum<=32")
+        assert code == 2 and not out
+        assert "(17,15)" in err and "refusing" in err
+        assert ran == []
+
+    def test_empty_range_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--range", "msum<=1")
+        assert code == 2 and not out
+        assert "selects no knot" in err
+
     def test_bad_range_spec(self, capsys):
         assert run(capsys, "verify", "--range", "k<=4")[0] == 2
 

@@ -4,10 +4,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import khr.formula
 from khr.dyck import DyckPath, KnotParams, coprime_pairs, enumerate_paths
 from khr.formula import (
-    display_corner_product,
     euler_characteristic,
     genus,
     hhh_corner_product,
@@ -38,8 +36,7 @@ class TestNormalization:
         assert genus(KnotParams(4, 3)) == 3
 
     def test_prefactor_exponents(self):
-        norm = normalization(KnotParams(4, 3))
-        assert norm.prefactor == mono(1, ea=3, q2=-3, t2=-3)
+        assert normalization(KnotParams(4, 3)) == mono(1, ea=3, q2=3, t2=-3)
 
     def test_genus_parity_raises(self):
         with pytest.raises(ValueError, match="odd"):
@@ -106,11 +103,6 @@ class TestSuperpolynomial:
         for exp, c in superpolynomial(params).num.items():
             assert (c > 0) == ((exp.ea - g) % 2 == 0)
 
-    def test_normalization_mismatch_raises(self, monkeypatch):
-        monkeypatch.setattr(khr.formula, "hhh_direct", lambda params: Invariant(ONE, 1))
-        with pytest.raises(RuntimeError, match="normalization mismatch"):
-            superpolynomial.__wrapped__(KnotParams(3, 2))
-
 
 class TestEulerCharacteristic:
     def test_unknot_fixed(self):
@@ -139,12 +131,6 @@ class TestCornerProducts:
     def test_hhh_product(self, ks):
         fold = reduce(lambda acc, k: acc * (q_power(k) - A), ks, ONE)
         assert as_poly(hhh_corner_product(ks)) == fold
-
-    @given(ks_lists)
-    @settings(max_examples=100, deadline=None)
-    def test_display_product(self, ks):
-        fold = reduce(lambda acc, k: acc * (ONE - mono(1, ea=1, q2=-2 * k)), ks, ONE)
-        assert as_poly(display_corner_product(ks)) == fold
 
 
 class TestPathData:

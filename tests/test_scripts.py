@@ -1,0 +1,56 @@
+"""The runnable scripts and the benchmark tracer keep working against the
+package: the scripts run to completion, and every function the tracer wraps
+still exists under the name it looks up."""
+
+import importlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import khr
+
+SRC = str(Path(khr.__file__).resolve().parents[1])
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = SRC
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestScripts:
+    def test_superpolynomial_table_json(self):
+        result = run_script("superpolynomial_table.py", "--max-sum", "7", "--json")
+        assert result.returncode == 0, result.stderr
+        rows = json.loads(result.stdout)
+        assert {(row["m"], row["n"]) for row in rows} >= {(3, 2), (5, 2), (4, 3)}
+
+    def test_profile_ratio_survey(self):
+        result = run_script("profile_ratio_survey.py", "--max-sum", "7")
+        assert result.returncode == 0, result.stderr
+        assert "pairs share one global monomial" in result.stdout
+
+
+def test_every_traced_name_resolves():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for span in (*tracer.SELF_TIME, *tracer.INCLUSIVE_TIME):
+        module_name, *attrs = span.split(".")
+        owner = importlib.import_module(f"khr.{module_name}")
+        for attr in attrs:
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(span)
+    assert missing == []

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import khr.verify
 from khr.dyck import KnotParams, coprime_pairs
+from khr.laurent import Invariant, ONE
 from khr.sweep import HHH_PROFILE, TORIC_PROFILE, evaluate, evaluate_profiles
 from khr.verify import (
     catalan_check,
@@ -100,6 +101,16 @@ class TestSignStructure:
     @settings(max_examples=30, deadline=None)
     def test_alternation(self, params):
         assert sign_structure_ok(params)
+
+    def test_flipped_signs_detected(self, monkeypatch):
+        series = khr.verify.hhh_direct(KnotParams(3, 2))
+        monkeypatch.setattr(khr.verify, "hhh_direct", lambda params: Invariant(-series.num, 1))
+        assert not sign_structure_ok(KnotParams(3, 2))
+
+    def test_series_not_over_one_minus_t_raises(self, monkeypatch):
+        monkeypatch.setattr(khr.verify, "hhh_direct", lambda params: Invariant(ONE, 0))
+        with pytest.raises(RuntimeError, match="not \\(1-t\\)"):
+            sign_structure_ok(KnotParams(3, 2))
 
 
 class TestReport:
