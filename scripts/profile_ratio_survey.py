@@ -16,6 +16,7 @@ import argparse
 from collections import Counter
 
 from khr.dyck import coprime_pairs
+from khr.sweep import HHH_PROFILE, TORIC_PROFILE, evaluate_profiles
 from khr.verify import leaf_ratio_report
 
 
@@ -30,7 +31,7 @@ def main() -> None:
     for params in coprime_pairs(args.max_sum):
         if params.m < params.n:
             continue
-        report = leaf_ratio_report(params)
+        report = leaf_ratio_report(params, *evaluate_profiles(params, (HHH_PROFILE, TORIC_PROFILE)))
         total += 1
         shared += report.shares_global_monomial
         spread = Counter(e.pretty for e in report.entries)

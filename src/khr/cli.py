@@ -24,8 +24,8 @@ from . import __version__
 from .dyck import (
     KnotParams,
     LinksUnsupported,
-    coprime_pairs,
     enumerate_paths,
+    iter_coprime_pairs,
     rational_catalan,
     stats_json,
 )
@@ -244,22 +244,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print("give either m n or --range, not both", file=sys.stderr)
             return EXIT_USAGE
         bound = _parse_range(args.range_spec)
-        targets = [p for p in coprime_pairs(bound) if p.m >= p.n]
-        if not targets:
-            print(f"range {args.range_spec!r} selects no knot", file=sys.stderr)
-            return EXIT_USAGE
+        candidates = (p for p in iter_coprime_pairs(bound) if p.m >= p.n)
     elif args.m is not None and args.n is not None:
-        targets = [KnotParams(args.m, args.n)]
+        candidates = [KnotParams(args.m, args.n)]
     else:
         print("verify needs m n or --range 'msum<=K'", file=sys.stderr)
         return EXIT_USAGE
 
-    # refuse before any work, not after verifying the knots below the bound
-    for params in targets:
+    # refuse before any work, not after verifying the knots below the bound.
+    # The walk builds one knot at a time and stops at the first refusal: path
+    # counts of the balanced knots grow exponentially in m + n, so with the
+    # default bound any range past m + n = 31 is refused at (17,15), after
+    # about 300 knots.
+    targets = []
+    for params in candidates:
         message = _guard_size(params, args.max_leaves)
         if message:
             print(message, file=sys.stderr)
             return EXIT_USAGE
+        targets.append(params)
+    if not targets:
+        print(f"range {args.range_spec!r} selects no knot", file=sys.stderr)
+        return EXIT_USAGE
     suites = set(args.suite) if args.suite else None
     strict = not args.external_as_warnings
     reports = [run_suite(p, external_strict=strict, suites=suites) for p in targets]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import Iterator
 
 Point = tuple[int, int]
 
@@ -58,15 +59,18 @@ def rational_catalan(params: KnotParams) -> int:
     return total // (params.m + params.n)
 
 
-def coprime_pairs(max_sum: int) -> list[KnotParams]:
-    """All coprime (m, n) with m, n >= 1 and m + n <= max_sum, both orders."""
-    out = []
+def iter_coprime_pairs(max_sum: int) -> Iterator[KnotParams]:
+    """Every coprime (m, n) with m, n >= 1 and m + n <= max_sum, both
+    orders, by m + n and then m, built one at a time."""
     for s in range(2, max_sum + 1):
         for m in range(1, s):
-            n = s - m
-            if math.gcd(m, n) == 1:
-                out.append(KnotParams(m, n))
-    return out
+            if math.gcd(m, s - m) == 1:
+                yield KnotParams(m, s - m)
+
+
+def coprime_pairs(max_sum: int) -> list[KnotParams]:
+    """iter_coprime_pairs(max_sum) as a list."""
+    return list(iter_coprime_pairs(max_sum))
 
 
 @dataclass(frozen=True)
@@ -271,11 +275,6 @@ def most_distant(params: KnotParams, outer: tuple[Point, ...]) -> Point:
     if len(set(dists)) != len(dists):
         raise RuntimeError(f"corner distances collide: {dists}")
     return outer[dists.index(max(dists))]
-
-
-def most_distant_outer(path: DyckPath) -> Point:
-    """The unique outer corner farthest from the diagonal."""
-    return most_distant(path.params, corners(path)[0])
 
 
 def vstar(path: DyckPath) -> tuple[Point, ...]:

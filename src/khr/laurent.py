@@ -5,7 +5,7 @@ q^(-1/2) and every stored exponent is a plain int.  Half powers only ever
 enter through (qt)^(1/2) pairs and isolated q^(1/2) factors, so halves are
 the finest granularity needed; exponents of a are stored as-is.
 
-A polynomial maps exponent triples (ea, q2, t2) to nonzero integer
+A polynomial maps plain exponent tuples (ea, q2, t2) to nonzero integer
 coefficients; the zero polynomial has no terms.  Coefficients are Python
 ints, hence exact at any size.  Values of the shape num / (1-t)^d live in
 :class:`Invariant`, which cancels every (1-t) factor out of num on
@@ -18,22 +18,10 @@ Term order everywhere (serialization, rendering) is lexicographic on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
-
-class ExponentTriple(NamedTuple):
-    """Exponent key of one term: a-power and doubled q-, t-powers."""
-
-    ea: int
-    q2: int
-    t2: int
-
-
-_TripleLike = Union[ExponentTriple, tuple]
-
-# builds an ExponentTriple from a 3-tuple without the Python-level
-# NamedTuple constructor; the hot loops in LaurentPoly.__mul__ use it
-_new_triple = tuple.__new__
+# exponent key of one term: (a-power, doubled q-power, doubled t-power)
+ExponentTriple = tuple[int, int, int]
 
 
 class LaurentPoly:
@@ -41,23 +29,14 @@ class LaurentPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[_TripleLike, int] | None = None):
-        clean: dict[ExponentTriple, int] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if coeff != 0:
-                    clean[ExponentTriple(*exp)] = coeff
-        self._terms = clean
+    def __init__(self, terms: Mapping[ExponentTriple, int] | None = None):
+        self._terms = {exp: c for exp, c in terms.items() if c} if terms else {}
 
     # -- construction helpers -------------------------------------------
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
     def monomial(coeff: int = 1, ea: int = 0, q2: int = 0, t2: int = 0) -> "LaurentPoly":
-        return LaurentPoly({ExponentTriple(ea, q2, t2): coeff})
+        return LaurentPoly({(ea, q2, t2): coeff})
 
     # -- inspection ------------------------------------------------------
 
@@ -67,8 +46,8 @@ class LaurentPoly:
     def sorted_items(self) -> list[tuple[ExponentTriple, int]]:
         return sorted(self._terms.items())
 
-    def coeff(self, exp: _TripleLike) -> int:
-        return self._terms.get(ExponentTriple(*exp), 0)
+    def coeff(self, exp: ExponentTriple) -> int:
+        return self._terms.get(exp, 0)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -133,14 +112,14 @@ class LaurentPoly:
             ((ea2, q2, t2), c2), = factor.items()
             result = LaurentPoly()
             result._terms = {
-                _new_triple(ExponentTriple, (ea1 + ea2, q1 + q2, t1 + t2)): c1 * c2
+                (ea1 + ea2, q1 + q2, t1 + t2): c1 * c2
                 for (ea1, q1, t1), c1 in terms.items()
             }
             return result
         out: dict[ExponentTriple, int] = {}
         for (ea1, q1, t1), c1 in terms.items():
             for (ea2, q2, t2), c2 in factor.items():
-                exp = _new_triple(ExponentTriple, (ea1 + ea2, q1 + q2, t1 + t2))
+                exp = (ea1 + ea2, q1 + q2, t1 + t2)
                 s = out.get(exp, 0) + c1 * c2
                 if s:
                     out[exp] = s
@@ -165,7 +144,7 @@ class LaurentPoly:
     def swap_qt(self) -> "LaurentPoly":
         """Exchange the q- and t-exponents of every term."""
         result = LaurentPoly()
-        result._terms = {ExponentTriple(e.ea, e.t2, e.q2): c for e, c in self._terms.items()}
+        result._terms = {(ea, t2, q2): c for (ea, q2, t2), c in self._terms.items()}
         return result
 
     def euler_sign(self) -> "LaurentPoly":
@@ -176,18 +155,17 @@ class LaurentPoly:
         """
         out: dict[ExponentTriple, int] = {}
         for exp, c in self._terms.items():
-            if (exp.q2 - exp.t2) % 2 != 0:
-                raise ValueError(
-                    f"term a^{exp.ea} q2={exp.q2} t2={exp.t2} mixes half-integer parities"
-                )
-            out[exp] = -c if exp.q2 % 2 else c
+            ea, q2, t2 = exp
+            if (q2 - t2) % 2 != 0:
+                raise ValueError(f"term a^{ea} q2={q2} t2={t2} mixes half-integer parities")
+            out[exp] = -c if q2 % 2 else c
         result = LaurentPoly()
         result._terms = out
         return result
 
     def is_even_series(self) -> bool:
         """True iff every term involves only integer powers of q and t."""
-        return all(e.q2 % 2 == 0 and e.t2 % 2 == 0 for e in self._terms)
+        return all(q2 % 2 == 0 and t2 % 2 == 0 for _, q2, t2 in self._terms)
 
     # -- rendering ----------------------------------------------------------
 
@@ -195,9 +173,9 @@ class LaurentPoly:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for exp, c in self.sorted_items():
+        for (ea, q2, t2), c in self.sorted_items():
             factors: list[str] = []
-            for sym, e in (("a", 2 * exp.ea), ("q", exp.q2), ("t", exp.t2)):
+            for sym, e in (("a", 2 * ea), ("q", q2), ("t", t2)):
                 if e == 0:
                     continue
                 if e % 2 == 0:
@@ -222,11 +200,10 @@ class LaurentPoly:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for exp, c in self.sorted_items():
+        for (ea, q2, t2), c in self.sorted_items():
             factors: list[str] = []
-            if exp.ea:
-                factors.append("a" if exp.ea == 1 else f"a^{{{exp.ea}}}")
-            q2, t2 = exp.q2, exp.t2
+            if ea:
+                factors.append("a" if ea == 1 else f"a^{{{ea}}}")
             if q2 % 2 and t2 % 2:
                 # factor one (qt)^(1/2), signed to keep the leftovers small
                 if q2 > 0:
@@ -260,7 +237,7 @@ class LaurentPoly:
         return f"LaurentPoly('{self.text()}')"
 
 
-ZERO = LaurentPoly.zero()
+ZERO = LaurentPoly()
 ONE = LaurentPoly.monomial(1)
 A = LaurentPoly.monomial(1, ea=1)
 Q = LaurentPoly.monomial(1, q2=2)
@@ -270,10 +247,6 @@ T = LaurentPoly.monomial(1, t2=2)
 def q_power(k: int) -> LaurentPoly:
     """q^k as a polynomial (k may be negative)."""
     return LaurentPoly.monomial(1, q2=2 * k)
-
-
-def t_power(k: int) -> LaurentPoly:
-    return LaurentPoly.monomial(1, t2=2 * k)
 
 
 def poly_sum(polys: Iterable[LaurentPoly]) -> LaurentPoly:
@@ -305,17 +278,16 @@ def monomial_ratio(
         raise ValueError("reference polynomial must be nonzero")
     if not p or len(p) != len(r):
         return None
-    ep, cp = min(p.sorted_items())
-    er, cr = min(r.sorted_items())
+    (pa, pq, pt), cp = min(p.items())
+    (ra, rq, rt), cr = min(r.items())
     if cp % cr != 0:
         return None
     ratio = cp // cr
     if ratio == 0:
         return None
-    shift = ExponentTriple(ep.ea - er.ea, ep.q2 - er.q2, ep.t2 - er.t2)
-    for exp, c in r.items():
-        target = ExponentTriple(exp.ea + shift.ea, exp.q2 + shift.q2, exp.t2 + shift.t2)
-        if p.coeff(target) != ratio * c:
+    sa, sq, st = shift = (pa - ra, pq - rq, pt - rt)
+    for (ea, q2, t2), c in r.items():
+        if p.coeff((ea + sa, q2 + sq, t2 + st)) != ratio * c:
             return None
     sign = 1 if ratio > 0 else -1
     return sign, shift, abs(ratio)
@@ -331,8 +303,8 @@ def divide_exact_by_one_minus_t(p: LaurentPoly) -> LaurentPoly:
     if not p:
         return ZERO
     slices: dict[tuple[int, int, int], dict[int, int]] = {}
-    for exp, c in p.items():
-        slices.setdefault((exp.ea, exp.q2, exp.t2 % 2), {})[exp.t2] = c
+    for (ea, q2, t2), c in p.items():
+        slices.setdefault((ea, q2, t2 % 2), {})[t2] = c
     out: dict[ExponentTriple, int] = {}
     for (ea, q2, _), coeffs in slices.items():
         lo, hi = min(coeffs), max(coeffs)
@@ -343,7 +315,7 @@ def divide_exact_by_one_minus_t(p: LaurentPoly) -> LaurentPoly:
                 if u != 0:
                     raise ValueError("polynomial is not divisible by 1 - t")
             elif u:
-                out[ExponentTriple(ea, q2, t2)] = u
+                out[ea, q2, t2] = u
             prev = u
     result = LaurentPoly()
     result._terms = out
@@ -407,7 +379,7 @@ class Invariant:
 
 def specialize_count(v: Invariant) -> int:
     """Numerator of v at a = 0, q = t = 1 (the denominator is ignored)."""
-    return sum(c for exp, c in v.num.items() if exp.ea == 0)
+    return sum(c for (ea, _, _), c in v.num.items() if ea == 0)
 
 
 # -- JSON forms -----------------------------------------------------------
@@ -418,15 +390,15 @@ def specialize_count(v: Invariant) -> int:
 
 def poly_to_json(p: LaurentPoly) -> list[dict]:
     return [
-        {"a": exp.ea, "q2": exp.q2, "t2": exp.t2, "c": str(c)}
-        for exp, c in p.sorted_items()
+        {"a": ea, "q2": q2, "t2": t2, "c": str(c)}
+        for (ea, q2, t2), c in p.sorted_items()
     ]
 
 
 def poly_from_json(items: Iterable[Mapping]) -> LaurentPoly:
     terms: dict[ExponentTriple, int] = {}
     for item in items:
-        exp = ExponentTriple(int(item["a"]), int(item["q2"]), int(item["t2"]))
+        exp = (int(item["a"]), int(item["q2"]), int(item["t2"]))
         if exp in terms:
             raise ValueError(f"duplicate term {exp} in serialized polynomial")
         terms[exp] = int(item["c"])

@@ -23,8 +23,9 @@ Each branch of the fork tree multiplies weights drawn from a pluggable
 profile and ends when the last interval contracts, contributing the
 profile's base value.  One leaf arises per (m, n)-Dyck path: the region the
 chosen intervals sweep is bounded by that path, and the leaf's rule tags are
-reconstructed into the path and validated against its statistics.  The tree
-does not depend on the weights, so one traversal serves several profiles.
+reconstructed into the path and validated against its statistics; the leaf
+keeps only that path and its value.  The tree does not depend on the
+weights, so one traversal serves several profiles.
 """
 
 from __future__ import annotations
@@ -285,7 +286,6 @@ class BranchRecord:
 
 @dataclass
 class Leaf:
-    record: BranchRecord
     path: DyckPath
     value: Invariant
 
@@ -368,13 +368,13 @@ def evaluate_profiles(
     """Explore every branch of the sweep once, carrying one weight per profile.
 
     The branch tree does not depend on the weights, so each leaf is
-    reconstructed into its Dyck path and validated once, and every
-    profile's leaf shares that record and path.  The leaf lists come back
-    sorted by path (N before E), and the leaf count is checked against the
-    rational Catalan number.  Each rule's weights are looked up once per
-    interval count.  Every leaf numerator sits over its base's (1 - t)
-    power, so each total is one sum of those numerators, normalized once;
-    each leaf also keeps its own normalized value.
+    reconstructed into its Dyck path and validated once; its record is
+    then dropped, and every profile's leaf shares that path.  The leaf
+    lists come back sorted by path (N before E), and the leaf count is
+    checked against the rational Catalan number.  Each rule's weights are
+    looked up once per interval count.  Every leaf numerator sits over its
+    base's (1 - t) power, so each total is one sum of those numerators,
+    normalized once; each leaf also keeps its own normalized value.
     """
     events = event_list(params)
     factors: dict[tuple[Rule, int], tuple[LaurentPoly, ...]] = {}
@@ -385,7 +385,7 @@ def evaluate_profiles(
             rule_factors = factors[rule, k] = tuple(prof.weight(rule, k) for prof in profiles)
         return tuple(w * f for w, f in zip(weights, rule_factors))
 
-    found: list[tuple[BranchRecord, DyckPath, tuple[LaurentPoly, ...]]] = []
+    found: list[tuple[DyckPath, tuple[LaurentPoly, ...]]] = []
     stack: list[tuple[int, Coloring, tuple[LaurentPoly, ...], dict, dict]] = [
         (0, initial_coloring(params), (ONE,) * len(profiles), {}, {})
     ]
@@ -409,8 +409,8 @@ def evaluate_profiles(
                 kvals[p] = k
             elif rule is Rule.CONTRACT:
                 if k == 1:
-                    record = BranchRecord(tags, kvals, p)
-                    found.append((record, reconstruct_path(record, params), weights))
+                    path = reconstruct_path(BranchRecord(tags, kvals, p), params)
+                    found.append((path, weights))
                     break
                 k -= 1
                 state = _contracted(state, idx)
@@ -420,19 +420,19 @@ def evaluate_profiles(
         else:
             raise RuntimeError("sweep exhausted its events with intervals still alive")
 
-    found.sort(key=lambda leaf: leaf[1].sort_key)
+    found.sort(key=lambda leaf: leaf[0].sort_key)
     expected = rational_catalan(params)
     if len(found) != expected:
         raise RuntimeError(f"{len(found)} leaves, expected {expected}")
-    if len({str(path) for _, path, _ in found}) != len(found):
+    if len({str(path) for path, _ in found}) != len(found):
         raise RuntimeError("duplicate leaf paths")
     results = []
     for j, profile in enumerate(profiles):
         base = profile.base
-        numerators = [weights[j] * base.num for _, _, weights in found]
+        numerators = [weights[j] * base.num for _, weights in found]
         leaves = [
-            Leaf(record, path, Invariant(num, base.dpow))
-            for (record, path, _), num in zip(found, numerators)
+            Leaf(path, Invariant(num, base.dpow))
+            for (path, _), num in zip(found, numerators)
         ]
         total = Invariant(poly_sum(numerators), base.dpow)
         results.append(SweepResult(params, profile.name, total, leaves))
@@ -443,21 +443,3 @@ def evaluate(params: KnotParams, profile: WeightProfile) -> SweepResult:
     """The sweep of one profile: evaluate_profiles with that profile alone."""
     return evaluate_profiles(params, (profile,))[0]
 
-
-def leaf_table_json(result: SweepResult) -> list[dict]:
-    """Leaf table: path word, rule tags keyed by "(x,y)", and the leaf value."""
-    from .laurent import invariant_to_json
-
-    table = []
-    for leaf in result.leaves:
-        tags = {f"({x},{y})": rule.value for (x, y), rule in leaf.record.tags.items()}
-        tx, ty = leaf.record.terminal
-        tags[f"({tx},{ty})"] = Rule.TERMINAL.value
-        table.append(
-            {
-                "path": str(leaf.path),
-                "rule_tags": dict(sorted(tags.items())),
-                "value": invariant_to_json(leaf.value),
-            }
-        )
-    return table

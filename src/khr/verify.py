@@ -31,14 +31,7 @@ from .laurent import (
     monomial_ratio,
     specialize_count,
 )
-from .sweep import (
-    HHH_PROFILE,
-    TORIC_PROFILE,
-    SweepResult,
-    evaluate,
-    evaluate_profiles,
-    initial_coloring,
-)
+from .sweep import HHH_PROFILE, TORIC_PROFILE, SweepResult, evaluate_profiles, initial_coloring
 
 
 @dataclass(frozen=True)
@@ -119,17 +112,14 @@ class CrossCheck:
         )
 
 
-def cross_check(params: KnotParams, hhh: Optional[SweepResult] = None) -> CrossCheck:
-    """Compare the HHH sweep of params (hhh, or a fresh one) with the
-    closed form."""
-    result = hhh if hhh is not None else evaluate(params, HHH_PROFILE)
-    direct = hhh_direct(params)
+def cross_check(params: KnotParams, hhh: SweepResult) -> CrossCheck:
+    """Compare hhh, the HHH sweep of params, with the closed form."""
     check = CrossCheck(
-        total_match=(result.total == direct),
-        leaf_count=len(result.leaves),
+        total_match=(hhh.total == hhh_direct(params)),
+        leaf_count=len(hhh.leaves),
         expected_leaf_count=rational_catalan(params),
     )
-    by_path = {str(leaf.path): leaf.value for leaf in result.leaves}
+    by_path = {str(leaf.path): leaf.value for leaf in hhh.leaves}
     for path, term in zip(enumerate_paths(params), hhh_terms(params), strict=True):
         expected = Invariant(term, 1)
         got = by_path.get(str(path))
@@ -209,17 +199,9 @@ def _pretty_monomial(sign: int, exp: ExponentTriple, magnitude: int) -> str:
     return body if sign > 0 else f"-{body}"
 
 
-def leaf_ratio_report(
-    params: KnotParams,
-    hhh: Optional[SweepResult] = None,
-    toric: Optional[SweepResult] = None,
-) -> RatioReport:
+def leaf_ratio_report(params: KnotParams, hhh: SweepResult, toric: SweepResult) -> RatioReport:
     """Ratio table of the scalar sweep (toric) against the HHH sweep (hhh)
-    of params; a sweep not given comes from one fresh traversal."""
-    if hhh is None or toric is None:
-        fresh_hhh, fresh_toric = evaluate_profiles(params, (HHH_PROFILE, TORIC_PROFILE))
-        hhh = fresh_hhh if hhh is None else hhh
-        toric = fresh_toric if toric is None else toric
+    of params."""
     one_minus_a = ONE - A
     entries: list[RatioEntry] = []
     for h_leaf, t_leaf in zip(hhh.leaves, toric.leaves):
@@ -248,7 +230,7 @@ def leaf_ratio_report(
     start = initial_coloring(params)
     strands = start.strand_count
     predicted = _pretty_monomial(
-        1 if strands % 2 == 0 else -1, ExponentTriple(0, start.k - strands, 0), 1
+        1 if strands % 2 == 0 else -1, (0, start.k - strands, 0), 1
     )
     return RatioReport(entries, all_monomial, shares, predicted)
 
@@ -264,7 +246,7 @@ def sign_structure_ok(params: KnotParams) -> bool:
         raise RuntimeError(
             f"unnormalized series of {params} is over (1-t)^{series.dpow}, not (1-t)"
         )
-    return all((c > 0) == (exp.ea % 2 == 0) for exp, c in series.num.items())
+    return all((c > 0) == (ea % 2 == 0) for (ea, _, _), c in series.num.items())
 
 
 _SUITES = ("identities", "cross", "catalan", "symmetry", "ratios")
@@ -319,7 +301,7 @@ def run_suite(
     if "ratios" in selected:
         hhh, toric = evaluate_profiles(params, (HHH_PROFILE, TORIC_PROFILE))
     elif "cross" in selected:
-        hhh = evaluate(params, HHH_PROFILE)
+        (hhh,) = evaluate_profiles(params, (HHH_PROFILE,))
     return VerificationReport(
         m=params.m,
         n=params.n,

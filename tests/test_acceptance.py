@@ -11,8 +11,8 @@ import math
 
 from khr.dyck import KnotParams, coprime_pairs, k_of, rational_catalan
 from khr.formula import genus, superpolynomial
-from khr.laurent import Invariant, LaurentPoly, ONE
-from khr.sweep import HHH_PROFILE, Rule, evaluate
+from khr.laurent import Invariant, LaurentPoly, ONE, ZERO
+from khr.sweep import HHH_PROFILE, TORIC_PROFILE, Rule, evaluate, evaluate_profiles
 from khr.verify import (
     catalan_check,
     cross_check,
@@ -21,6 +21,7 @@ from khr.verify import (
     symmetry_checks,
 )
 
+from .branch_walk import branches_by_path
 from .oracles import brute_area, brute_hplus, brute_k, brute_paths, brute_vstar
 
 mono = LaurentPoly.monomial
@@ -46,7 +47,7 @@ def _brute_superpolynomial(m: int, n: int, failures: list) -> Invariant:
     t^area q^hplus prod (1 - a q^(-k)), from the Fraction-based oracles
     alone; an unbalanced crossing count is recorded in failures."""
     g = (m - 1) * (n - 1) // 2
-    total = LaurentPoly.zero()
+    total = ZERO
     for word in brute_paths(m, n):
         summand = mono(1, q2=2 * brute_hplus(m, n, word), t2=2 * brute_area(m, n, word))
         for v in brute_vstar(m, n, word):
@@ -97,7 +98,7 @@ def test_criterion_02_every_knot_to_msum_12_rederived_by_brute_force():
 def test_criterion_03_cross_evaluator_oracle():
     failures = []
     for params in coprime_pairs(14):
-        check = cross_check(params)
+        check = cross_check(params, evaluate(params, HHH_PROFILE))
         if not check.passed:
             failures.append((params.m, params.n, check.mismatches[:2]))
     _report("3 closed form == sweep, total and leaf-by-leaf, m+n <= 14", failures)
@@ -118,12 +119,19 @@ def test_criterion_05_sweep_statistics_coherence():
         result = evaluate(params, HHH_PROFILE)
         if len(result.leaves) != rational_catalan(params):
             failures.append((params.m, params.n, "leaf count"))
+        # the sweep keeps no branch records; read them from the reference walk
+        branches = branches_by_path(params, (HHH_PROFILE,))
+        if len(branches) != len(result.leaves):
+            failures.append((params.m, params.n, "walked branch count"))
         seen = set()
         for leaf in result.leaves:
             seen.add(str(leaf.path))
-            for p, rule in leaf.record.tags.items():
+            record, (value,) = branches[str(leaf.path)]
+            if value != leaf.value:
+                failures.append((params.m, params.n, str(leaf.path), "leaf value"))
+            for p, rule in record.tags.items():
                 if rule in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT):
-                    if leaf.record.kvals[p] != k_of(leaf.path, p):
+                    if record.kvals[p] != k_of(leaf.path, p):
                         failures.append((params.m, params.n, str(leaf.path), p))
         if len(seen) != len(result.leaves):
             failures.append((params.m, params.n, "leaf paths not distinct"))
@@ -151,9 +159,9 @@ def test_criterion_08_sign_structure():
     failures = []
     for params in coprime_pairs(14):
         g = genus(params)
-        for exp, c in superpolynomial(params).num.items():
-            if (c > 0) != ((exp.ea - g) % 2 == 0):
-                failures.append((params.m, params.n, tuple(exp), c))
+        for (ea, q2, t2), c in superpolynomial(params).num.items():
+            if (c > 0) != ((ea - g) % 2 == 0):
+                failures.append((params.m, params.n, (ea, q2, t2), c))
     _report("8 a-coefficient signs alternate from + at degree genus, m+n <= 14", failures)
 
 
@@ -161,7 +169,7 @@ def test_criterion_09_profile_ratio_diagnostic():
     failures = []
     shared = []
     for params in coprime_pairs(12):
-        report = leaf_ratio_report(params)
+        report = leaf_ratio_report(params, *evaluate_profiles(params, (HHH_PROFILE, TORIC_PROFILE)))
         for entry in report.entries:
             if not entry.is_monomial:
                 failures.append((params.m, params.n, entry.path))

@@ -1,0 +1,142 @@
+"""Classical torus-knot formulas that share nothing with Dyck paths.
+
+Both checks substitute t = q^-1 into a numerator, so a term a^ea q^(q2/2)
+t^(t2/2) becomes q^((q2 - t2)/2), and compare the resulting Laurent
+polynomial in q exactly with a closed product formula, where
+g = (m-1)(n-1)/2:
+
+* Alexander: at a = 1 the numerator of P(m, n) is q^-g times the Alexander
+  polynomial (q^(mn) - 1)(q - 1) / ((q^m - 1)(q^n - 1)), which has degree
+  2g; the numerator is q <-> t symmetric, so the result is symmetric about
+  q^0;
+* rational q-Catalan: the a^0 part of the unnormalized numerator is q^-2g
+  times [m+n choose n]_q / [m+n]_q, with q-integers
+  [k]_q = 1 + q + ... + q^(k-1).
+
+The arithmetic here is plain integer lists, independent of the package's
+polynomial type.  Both identities read only q2 - t2, so an error that moves
+weight between the q- and t-exponents by equal amounts passes them; the
+q <-> t symmetry check covers part of that gap.
+"""
+
+from khr.dyck import coprime_pairs
+from khr.formula import hhh_direct, superpolynomial
+
+MAX_SUM = 16
+
+
+def mul(p, r):
+    out = [0] * (len(p) + len(r) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(r):
+            out[i + j] += a * b
+    return out
+
+
+def divide_exact(p, r):
+    """p / r for dense coefficient lists, lowest degree first; r is monic and
+    the remainder must vanish."""
+    p = list(p)
+    if r[-1] != 1:
+        raise ValueError("divisor must be monic")
+    quotient = [0] * (len(p) - len(r) + 1)
+    for i in range(len(quotient) - 1, -1, -1):
+        c = p[i + len(r) - 1]
+        quotient[i] = c
+        for j, b in enumerate(r):
+            p[i + j] -= c * b
+    if any(p):
+        raise ValueError("division leaves a remainder")
+    return quotient
+
+
+def q_minus_one(k):
+    """q^k - 1."""
+    return [-1] + [0] * (k - 1) + [1]
+
+
+def q_integer(k):
+    """[k]_q = 1 + q + ... + q^(k-1)."""
+    return [1] * k
+
+
+def gaussian_binomial(n, k):
+    """[n choose k]_q through [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    row = [[1]]  # row[j] is [i choose j]_q for the current i
+    for i in range(1, n + 1):
+        nxt = []
+        for j in range(i + 1):
+            left = row[j - 1] if j >= 1 else []
+            right = [0] * j + row[j] if j < i else []
+            width = max(len(left), len(right))
+            nxt.append([
+                (left[d] if d < len(left) else 0) + (right[d] if d < len(right) else 0)
+                for d in range(width)
+            ])
+        row = nxt
+    return row[k]
+
+
+def times_q_power(coeffs, s):
+    """q^s times the polynomial with dense coefficients coeffs, as
+    {exponent: coefficient} without zero terms."""
+    return {s + i: c for i, c in enumerate(coeffs) if c}
+
+
+def at_t_inverse_q(numerator, a_degree=None):
+    """Substitute t = q^-1 (and a = 1) into the numerator's terms, keeping
+    only a-degree a_degree when it is given; {exponent: coefficient}
+    without zero terms."""
+    out = {}
+    for (ea, q2, t2), c in numerator.items():
+        if a_degree is not None and ea != a_degree:
+            continue
+        if (q2 - t2) % 2:
+            raise ValueError(f"term {(ea, q2, t2)} has a half-integer q-power at t = q^-1")
+        e = (q2 - t2) // 2
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def alexander(m, n):
+    return divide_exact(
+        divide_exact(mul(q_minus_one(m * n), q_minus_one(1)), q_minus_one(m)), q_minus_one(n)
+    )
+
+
+def rational_q_catalan(m, n):
+    return divide_exact(gaussian_binomial(m + n, n), q_integer(m + n))
+
+
+def test_helpers_on_small_cases():
+    # the trefoil's Alexander polynomial and the (3,2) q-Catalan number
+    assert alexander(3, 2) == [1, -1, 1]
+    assert rational_q_catalan(3, 2) == [1, 0, 1]
+    assert gaussian_binomial(4, 2) == [1, 1, 2, 1, 1]
+    assert times_q_power([1, 0, -1], -2) == {-2: 1, 0: -1}
+
+
+def test_alexander_polynomial():
+    failures = []
+    for params in coprime_pairs(MAX_SUM):
+        m, n = params.m, params.n
+        g = (m - 1) * (n - 1) // 2
+        value = superpolynomial(params)
+        if value.dpow != 1:
+            failures.append((m, n, f"over (1-t)^{value.dpow}"))
+        elif at_t_inverse_q(value.num) != times_q_power(alexander(m, n), -g):
+            failures.append((m, n))
+    assert failures == []
+
+
+def test_rational_q_catalan():
+    failures = []
+    for params in coprime_pairs(MAX_SUM):
+        m, n = params.m, params.n
+        g = (m - 1) * (n - 1) // 2
+        value = hhh_direct(params)
+        if value.dpow != 1:
+            failures.append((m, n, f"over (1-t)^{value.dpow}"))
+        elif at_t_inverse_q(value.num, a_degree=0) != times_q_power(rational_q_catalan(m, n), -2 * g):
+            failures.append((m, n))
+    assert failures == []

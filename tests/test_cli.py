@@ -153,6 +153,24 @@ class TestVerify:
         assert "(17,15)" in err and "refusing" in err
         assert ran == []
 
+    def test_large_range_refused_without_building_it(self, capsys, monkeypatch):
+        # the range holds about 1.2 million knots; the walk must stop at the
+        # first refusal, (17,15), not build them all first
+        built = []
+        validate = KnotParams.__post_init__
+
+        def counting(params):
+            built.append((params.m, params.n))
+            if len(built) > 1000:
+                raise RuntimeError("built more than 1000 knots")
+            validate(params)
+
+        monkeypatch.setattr(KnotParams, "__post_init__", counting)
+        code, out, err = run(capsys, "verify", "--range", "msum<=2000")
+        assert code == 2 and not out
+        assert "(17,15)" in err and "refusing" in err
+        assert built[-1] == (17, 15)
+
     def test_empty_range_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--range", "msum<=1")
         assert code == 2 and not out

@@ -17,7 +17,7 @@ from khr.dyck import (
     interior_points,
     k_of,
     k_values,
-    most_distant_outer,
+    most_distant,
     opairs,
     pass_through_points,
     PathStats,
@@ -137,8 +137,9 @@ class TestStatisticsExamples:
         assert vstar(path(1, 4, "NNNNE")) == ()
 
     def test_most_distant_outer(self):
-        assert most_distant_outer(path(3, 2, "NENEE")) == (1, 2)
-        assert most_distant_outer(path(3, 2, "NNEEE")) == (0, 2)
+        for word, top in (("NENEE", (1, 2)), ("NNEEE", (0, 2))):
+            p = path(3, 2, word)
+            assert most_distant(p.params, corners(p)[0]) == top
 
     def test_interior_points(self):
         assert interior_points(path(3, 2, "NNEEE")) == ((1, 1),)
@@ -265,7 +266,7 @@ class TestGuardsRaise:
     def test_corner_collision(self):
         p = link_path(3, 3, "NENENE")
         with pytest.raises(RuntimeError, match="collide"):
-            most_distant_outer(p)
+            most_distant(p.params, corners(p)[0])
         with pytest.raises(RuntimeError, match="collide"):
             vstar(p)
 

@@ -100,8 +100,8 @@ class TestSuperpolynomial:
     @settings(max_examples=20, deadline=None)
     def test_alternating_a_signs_above_genus(self, params):
         g = genus(params)
-        for exp, c in superpolynomial(params).num.items():
-            assert (c > 0) == ((exp.ea - g) % 2 == 0)
+        for (ea, _, _), c in superpolynomial(params).num.items():
+            assert (c > 0) == ((ea - g) % 2 == 0)
 
 
 class TestEulerCharacteristic:

@@ -1,6 +1,7 @@
 """Correctness guards are explicit raises, so `python -O` keeps them and
 prints the same results."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -49,6 +50,24 @@ def rule_without_interval():
         sweep.classify = classify
 
 
+def tampered_record():
+    # the NENEE branch of (3, 2), with its terminal moved off the most
+    # distant corner (1, 2)
+    rule = sweep.Rule
+    tags = {(1, 1): rule.SPLIT, (2, 2): rule.END_PASS, (0, 1): rule.CONTRACT}
+    record = sweep.BranchRecord(tags, {(1, 1): 1, (0, 1): 1}, (0, 1))
+    sweep.reconstruct_path(record, KnotParams(3, 2))
+
+
+def wrong_leaf_count():
+    catalan = sweep.rational_catalan
+    sweep.rational_catalan = lambda params: 3
+    try:
+        sweep.evaluate(KnotParams(3, 2), sweep.HHH_PROFILE)
+    finally:
+        sweep.rational_catalan = catalan
+
+
 checks = [
     ("k agreement", lambda: k_of(DyckPath.from_string(KnotParams(3, 2), "NNEEE"), (0, 1))),
     ("degenerate contact", lambda: hplus(link_path(3, 3, "NENNEE"))),
@@ -59,6 +78,8 @@ checks = [
     ("area", lambda: stats_with(area=1)),
     ("event collision", lambda: sweep.event_list(link_params(2, 2))),
     ("rule without interval", rule_without_interval),
+    ("tampered record", tampered_record),
+    ("leaf count", wrong_leaf_count),
 ]
 print("optimize", sys.flags.optimize)
 for name, check in checks:
@@ -102,4 +123,15 @@ def test_guards_raise_under_optimize():
         "area ValueError",
         "event collision RuntimeError",
         "rule without interval RuntimeError",
+        "tampered record RuntimeError",
+        "leaf count RuntimeError",
     ]
+
+
+def test_no_assert_in_package():
+    # python -O strips assert statements, so no guard in the package may be one
+    found = []
+    for source in sorted(Path(khr.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        found += [f"{source.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

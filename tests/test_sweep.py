@@ -21,9 +21,10 @@ from khr.sweep import (
     evaluate_profiles,
     event_list,
     initial_coloring,
-    leaf_table_json,
     reconstruct_path,
 )
+
+from .branch_walk import branches_by_path, walk_branches
 
 mono = LaurentPoly.monomial
 small_coprime = st.sampled_from(coprime_pairs(10))
@@ -195,10 +196,14 @@ class TestEvaluateHHH:
         # interval count at each fork equals the path statistic k at that
         # point; contract factors match k at the trimmed outer corners
         result = evaluate(params, HHH_PROFILE)
+        branches = branches_by_path(params, (HHH_PROFILE,))
+        assert len(branches) == len(result.leaves)
         for leaf in result.leaves:
-            for p, rule in leaf.record.tags.items():
+            record, (value,) = branches[str(leaf.path)]
+            assert value == leaf.value
+            for p, rule in record.tags.items():
                 if rule in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT):
-                    assert leaf.record.kvals[p] == k_of(leaf.path, p)
+                    assert record.kvals[p] == k_of(leaf.path, p)
 
 
 class TestTotal:
@@ -251,22 +256,24 @@ class TestSharedTraversal:
         for params in coprime_pairs(12):
             shared = evaluate_profiles(params, profiles)
             assert [result.profile for result in shared] == ["HHH", "I"]
-            for result, profile in zip(shared, profiles, strict=True):
+            # the reference walk charges each profile's weights along every
+            # branch; each leaf's value is the product over its own branch
+            branches = branches_by_path(params, profiles)
+            for j, (result, profile) in enumerate(zip(shared, profiles, strict=True)):
                 alone = evaluate(params, profile)
                 assert result.params == alone.params
                 assert result.total == alone.total
                 assert [str(leaf.path) for leaf in result.leaves] == [
                     str(leaf.path) for leaf in alone.leaves
                 ]
-                assert [leaf.record for leaf in result.leaves] == [
-                    leaf.record for leaf in alone.leaves
-                ]
                 assert [leaf.value for leaf in result.leaves] == [
                     leaf.value for leaf in alone.leaves
                 ]
+                assert len(branches) == len(result.leaves)
+                for leaf in result.leaves:
+                    assert branches[str(leaf.path)][1][j] == leaf.value
             hhh, toric = shared
             for h_leaf, t_leaf in zip(hhh.leaves, toric.leaves, strict=True):
-                assert h_leaf.record is t_leaf.record
                 assert h_leaf.path is t_leaf.path
 
 
@@ -291,49 +298,43 @@ class TestEvaluateToric:
         assert result.total == Invariant(A - ONE, 0)
 
 
+def walked_record(params, word):
+    """The reference walk's record of the branch that lands on path word."""
+    return branches_by_path(params, (HHH_PROFILE,))[word][0]
+
+
 class TestReconstruction:
     def test_trefoil_records(self):
-        result = evaluate(KnotParams(3, 2), HHH_PROFILE)
-        by_path = {str(leaf.path): leaf.record for leaf in result.leaves}
-        keep = by_path["NNEEE"]
+        keep = walked_record(KnotParams(3, 2), "NNEEE")
         assert keep.tags[(1, 1)] is Rule.KEEP
         assert keep.terminal == (0, 2)
-        split = by_path["NENEE"]
+        split = walked_record(KnotParams(3, 2), "NENEE")
         assert split.tags[(1, 1)] is Rule.SPLIT
         assert split.tags[(0, 1)] is Rule.CONTRACT
         assert split.terminal == (1, 2)
 
     def test_reconstruct_round_trip(self):
-        result = evaluate(KnotParams(5, 3), HHH_PROFILE)
-        for leaf in result.leaves:
-            assert str(reconstruct_path(leaf.record, result.params)) == str(leaf.path)
+        params = KnotParams(5, 3)
+        paths = sorted(
+            (reconstruct_path(record, params) for record, _ in walk_branches(params, (HHH_PROFILE,))),
+            key=lambda path: path.sort_key,
+        )
+        assert [str(path) for path in paths] == [
+            str(leaf.path) for leaf in evaluate(params, HHH_PROFILE).leaves
+        ]
 
     def test_tampered_record_rejected(self):
-        result = evaluate(KnotParams(3, 2), HHH_PROFILE)
-        record = next(
-            leaf.record for leaf in result.leaves if str(leaf.path) == "NENEE"
-        )
+        params = KnotParams(3, 2)
+        record = walked_record(params, "NENEE")
         broken = BranchRecord(dict(record.tags), dict(record.kvals), (0, 1))
         with pytest.raises(RuntimeError):
-            reconstruct_path(broken, result.params)
+            reconstruct_path(broken, params)
 
     def test_tampered_k_rejected(self):
-        result = evaluate(KnotParams(3, 2), HHH_PROFILE)
-        record = next(
-            leaf.record for leaf in result.leaves if str(leaf.path) == "NENEE"
-        )
+        params = KnotParams(3, 2)
+        record = walked_record(params, "NENEE")
         bad_k = dict(record.kvals)
         bad_k[(1, 1)] = 7
         broken = BranchRecord(dict(record.tags), bad_k, record.terminal)
         with pytest.raises(RuntimeError):
-            reconstruct_path(broken, result.params)
-
-
-class TestLeafTable:
-    def test_json_shape(self):
-        table = leaf_table_json(evaluate(KnotParams(3, 2), HHH_PROFILE))
-        assert [row["path"] for row in table] == ["NNEEE", "NENEE"]
-        keep_row = table[0]
-        assert keep_row["rule_tags"]["(1,1)"] == "Keep"
-        assert keep_row["rule_tags"]["(0,2)"] == "Terminal"
-        assert keep_row["value"]["one_minus_t_pow"] == 1
+            reconstruct_path(broken, params)

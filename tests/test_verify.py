@@ -20,6 +20,10 @@ from khr.verify import (
 small_coprime = st.sampled_from(coprime_pairs(10))
 
 
+def both_sweeps(params):
+    return evaluate_profiles(params, (HHH_PROFILE, TORIC_PROFILE))
+
+
 class TestIdentitySuite:
     def test_trefoil_rows(self):
         rows = {row.path: row for row in identity_suite(KnotParams(3, 2))}
@@ -44,15 +48,15 @@ class TestIdentitySuite:
 
 class TestCrossCheck:
     def test_trefoil(self):
-        check = cross_check(KnotParams(3, 2))
+        check = cross_check(KnotParams(3, 2), evaluate(KnotParams(3, 2), HHH_PROFILE))
         assert check.passed and check.leaf_count == 2
 
     def test_unknot_family(self):
         for n in (1, 7, 20):
-            assert cross_check(KnotParams(1, n)).passed
+            assert cross_check(KnotParams(1, n), evaluate(KnotParams(1, n), HHH_PROFILE)).passed
 
     def test_53_leaf_count(self):
-        check = cross_check(KnotParams(5, 3))
+        check = cross_check(KnotParams(5, 3), evaluate(KnotParams(5, 3), HHH_PROFILE))
         assert check.passed and check.leaf_count == 7
 
 
@@ -77,7 +81,7 @@ class TestSymmetry:
 
 class TestLeafRatios:
     def test_trefoil_table(self):
-        report = leaf_ratio_report(KnotParams(3, 2))
+        report = leaf_ratio_report(KnotParams(3, 2), *both_sweeps(KnotParams(3, 2)))
         ratios = {e.path: e.pretty for e in report.entries}
         assert ratios == {"NNEEE": "q", "NENEE": "q^(3/2)"}
         assert report.all_monomial
@@ -85,7 +89,7 @@ class TestLeafRatios:
         assert report.single_interval_prediction == "q^(-1/2)"
 
     def test_unknot_single_leaf(self):
-        report = leaf_ratio_report(KnotParams(1, 1))
+        report = leaf_ratio_report(KnotParams(1, 1), *both_sweeps(KnotParams(1, 1)))
         (entry,) = report.entries
         assert entry.pretty == "-1"
         assert report.shares_global_monomial
@@ -93,7 +97,7 @@ class TestLeafRatios:
     @given(small_coprime)
     @settings(max_examples=20, deadline=None)
     def test_all_ratios_are_monomials(self, params):
-        assert leaf_ratio_report(params).all_monomial
+        assert leaf_ratio_report(params, *both_sweeps(params)).all_monomial
 
 
 class TestSignStructure:
@@ -150,45 +154,43 @@ class TestReport:
 
 class TestSharedSweep:
     def test_one_sweep_per_profile(self, monkeypatch):
-        # one traversal per knot carries both profiles; no single-profile
-        # sweep runs beside it
+        # one traversal per knot carries every profile the selected suites
+        # need, and a suite that needs no sweep runs none
         traversals = []
-        single = []
 
         def counting_profiles(params, profiles):
             traversals.append((params, tuple(profile.name for profile in profiles)))
             return evaluate_profiles(params, profiles)
 
-        def counting_single(params, profile):
-            single.append((params, profile.name))
-            return evaluate(params, profile)
-
         monkeypatch.setattr(khr.verify, "evaluate_profiles", counting_profiles)
-        monkeypatch.setattr(khr.verify, "evaluate", counting_single)
         knots = [KnotParams(3, 2), KnotParams(5, 3)]
-        for params in knots:
-            assert run_suite(params).overall_pass
-        assert traversals == [(p, ("HHH", "I")) for p in knots]
-        assert single == []
+        for suites, names in ((None, ("HHH", "I")), ({"cross"}, ("HHH",)), ({"catalan"}, None)):
+            traversals.clear()
+            for params in knots:
+                assert run_suite(params, suites=suites).overall_pass
+            assert traversals == ([] if names is None else [(p, names) for p in knots])
 
     def test_given_sweep_matches_fresh(self):
+        # sweeps of one profile each give the same reports as the shared one
         params = KnotParams(5, 3)
         hhh = evaluate(params, HHH_PROFILE)
         toric = evaluate(params, TORIC_PROFILE)
-        assert cross_check(params, hhh) == cross_check(params)
-        assert leaf_ratio_report(params, hhh) == leaf_ratio_report(params)
-        assert leaf_ratio_report(params, hhh, toric) == leaf_ratio_report(params)
-        assert leaf_ratio_report(params, toric=toric) == leaf_ratio_report(params)
+        shared_hhh, shared_toric = both_sweeps(params)
+        assert cross_check(params, hhh) == cross_check(params, shared_hhh)
+        assert cross_check(params, hhh).passed
+        assert leaf_ratio_report(params, hhh, toric) == leaf_ratio_report(params, shared_hhh, shared_toric)
+        assert leaf_ratio_report(params, hhh, shared_toric) == leaf_ratio_report(params, shared_hhh, toric)
 
     def test_wrong_sweep_detected(self):
         params = KnotParams(5, 3)
+        hhh, toric = both_sweeps(params)
         assert not cross_check(params, evaluate(params, TORIC_PROFILE)).passed
         assert not cross_check(params, evaluate(KnotParams(3, 5), HHH_PROFILE)).passed
         with pytest.raises(ValueError):
-            leaf_ratio_report(params, evaluate(params, TORIC_PROFILE))
+            leaf_ratio_report(params, evaluate(params, TORIC_PROFILE), toric)
         with pytest.raises(RuntimeError):
-            leaf_ratio_report(params, evaluate(KnotParams(3, 5), HHH_PROFILE))
+            leaf_ratio_report(params, evaluate(KnotParams(3, 5), HHH_PROFILE), toric)
         with pytest.raises(RuntimeError, match="not polynomial"):
-            leaf_ratio_report(params, toric=evaluate(params, HHH_PROFILE))
+            leaf_ratio_report(params, hhh, evaluate(params, HHH_PROFILE))
         with pytest.raises(RuntimeError, match="leaf paths differ"):
-            leaf_ratio_report(params, toric=evaluate(KnotParams(3, 5), TORIC_PROFILE))
+            leaf_ratio_report(params, hhh, evaluate(KnotParams(3, 5), TORIC_PROFILE))
