@@ -41,6 +41,8 @@ EXIT_LINKS = 3
 CACHE_ENV = "KHR_CACHE_DIR"
 CACHE_VERSION = __version__
 DEFAULT_MAX_LEAVES = 10**7
+# verify holds every sweep leaf, about 12 KB per path, so it stops lower
+VERIFY_MAX_LEAVES = 10**5
 
 FORMS = ("P", "HHH", "euler")
 FORMATS = ("text", "json", "latex")
@@ -95,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="do not fail on the externally known symmetry regressions",
     )
     verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument("--max-leaves", type=_positive_int, default=DEFAULT_MAX_LEAVES)
+    verify.add_argument("--max-leaves", type=_positive_int, default=VERIFY_MAX_LEAVES)
 
     catalan = sub.add_parser("catalan", help="print the Dyck-path count")
     catalan.add_argument("m", type=_positive_int)
@@ -254,8 +256,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # refuse before any work, not after verifying the knots below the bound.
     # The walk builds one knot at a time and stops at the first refusal: path
     # counts of the balanced knots grow exponentially in m + n, so with the
-    # default bound any range past m + n = 31 is refused at (17,15), after
-    # about 300 knots.
+    # default bound any range past m + n = 23 is refused at (13,11), after
+    # 176 knots.
     targets = []
     for params in candidates:
         message = _guard_size(params, args.max_leaves)

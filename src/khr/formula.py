@@ -136,7 +136,6 @@ def hhh_direct(params: KnotParams) -> Invariant:
     return Invariant(_assemble(path_data(params), genus(params)), 1)
 
 
-@lru_cache(maxsize=32)
 def superpolynomial(params: KnotParams) -> Invariant:
     """The normalized invariant, (a (qt)^(-1/2))^genus / (1-t) times the sum
     of t^area q^hplus prod (1 - a q^(-k)): the unnormalized series times

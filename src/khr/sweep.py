@@ -9,7 +9,8 @@ happens at the scaled height d = m*y - n*x, and for coprime (m, n) no two
 points in range share a d, so the event order is fully determined by
 integers and the slope never has to be represented.
 
-Crossing a point transforms the family by exactly one local rule:
+Crossing a point transforms the family by exactly one local rule, and
+apply_rule is the one place where each rule's effect is written:
 
 * Contract  -- p is both endpoints of one interval, which vanishes;
 * StartPass -- p is the lower endpoint of an interval, which slides past;
@@ -22,9 +23,9 @@ Crossing a point transforms the family by exactly one local rule:
 Each branch of the fork tree multiplies weights drawn from a pluggable
 profile and ends when the last interval contracts, contributing the
 profile's base value.  One leaf arises per (m, n)-Dyck path: the region the
-chosen intervals sweep is bounded by that path, and the leaf's rule tags are
-reconstructed into the path and validated against its statistics; the leaf
-keeps only that path and its value.  The tree does not depend on the
+chosen intervals sweep is bounded by that path, and the branch's rule steps
+are reconstructed into the path and validated against its statistics; the
+leaf keeps only that path and its value.  The tree does not depend on the
 weights, so one traversal serves several profiles.
 """
 
@@ -174,52 +175,38 @@ def classify(state: Coloring, p: Point) -> tuple[Rule, int | None]:
     return found
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One successor state with the weight tag to charge for reaching it."""
-
-    state: Coloring
-    tag: Rule
-    weight_k: int | None  # argument passed to the profile's weight function
+# One successor of a rule step: the next state, the weight tag charged for
+# reaching it, and the interval count its weight function receives.
+Successor = tuple[Coloring, Rule, int | None]
 
 
-def _contracted(state: Coloring, idx: int) -> Coloring:
-    """state without interval idx."""
-    return Coloring(state.params, state.intervals[:idx] + state.intervals[idx + 1 :])
+def apply_rule(state: Coloring, p: Point) -> tuple[Successor, ...]:
+    """Successors of state as the line crosses p; the one place where each
+    rule's effect is written.
 
-
-def _cut(state: Coloring, idx: int, p: Point) -> Coloring:
-    """state with interval idx, (a, b), cut at p = (x, y) into (a, y) and (x, b)."""
-    iv = state.intervals[idx]
-    x, y = p
-    halves = (Interval(iv.start_col, y), Interval(x, iv.end_row))
-    return Coloring(state.params, state.intervals[:idx] + halves + state.intervals[idx + 1 :])
-
-
-def apply_rule(state: Coloring, p: Point, rule: Rule) -> tuple[Transition, ...]:
-    """Successor states for the rule firing at p.
-
-    Contract with one interval left short-circuits to a Terminal transition
-    (the base value absorbs the final contraction); Branch returns the Split
-    successor then the Keep successor.
+    NoOp and the pass rules keep the state.  Contract drops the interval,
+    and with one interval left it short-circuits to Terminal (the base value
+    absorbs the final contraction).  Branch returns the Split successor, the
+    interval cut in two at p, then the Keep successor.
     """
-    expected, idx = classify(state, p)
-    if rule is not expected:
-        raise ValueError(f"rule {rule} does not fire at {p}; expected {expected}")
-    k = state.k
+    rule, idx = classify(state, p)
     if rule is Rule.NOOP:
-        return (Transition(state, Rule.NOOP, None),)
+        return ((state, Rule.NOOP, None),)
     if idx is None:
         raise RuntimeError(f"rule {rule} fires at {p} on no interval")
+    k = state.k
+    if rule is Rule.START_PASS or rule is Rule.END_PASS:
+        return ((state, rule, k),)
+    intervals = state.intervals
+    before, after = intervals[:idx], intervals[idx + 1 :]
     if rule is Rule.CONTRACT:
-        if k == 1:
-            return (Transition(_contracted(state, idx), Rule.TERMINAL, None),)
-        return (Transition(_contracted(state, idx), Rule.CONTRACT, k - 1),)
-    if rule in (Rule.START_PASS, Rule.END_PASS):
-        return (Transition(state, rule, k),)
+        rest = Coloring(state.params, before + after)
+        return ((rest, Rule.TERMINAL, None),) if k == 1 else ((rest, Rule.CONTRACT, k - 1),)
+    iv = intervals[idx]
+    halves = (Interval(iv.start_col, p[1]), Interval(p[0], iv.end_row))
     return (
-        Transition(_cut(state, idx, p), Rule.SPLIT, k),
-        Transition(state, Rule.KEEP, k),
+        (Coloring(state.params, before + halves + after), Rule.SPLIT, k),
+        (state, Rule.KEEP, k),
     )
 
 
@@ -227,7 +214,7 @@ def apply_rule(state: Coloring, p: Point, rule: Rule) -> tuple[Transition, ...]:
 class WeightProfile:
     """Per-rule weights accumulated along a branch, times a base value at
     the end.  Weight functions receive the interval count recorded in the
-    transition: the count after removal for Contract, the unchanged count
+    successor: the count after removal for Contract, the unchanged count
     for the other rules."""
 
     name: str
@@ -271,16 +258,15 @@ TORIC_PROFILE = WeightProfile(
 
 @dataclass
 class BranchRecord:
-    """Rule tags of one finished branch, keyed by event point.
+    """Rule steps of one finished branch, keyed by event point.
 
-    tags holds every non-NoOp, non-terminal outcome; kvals holds the weight
-    argument used at Split, Keep and Contract events; terminal is the point
+    steps maps every non-NoOp, non-terminal event to the tag and interval
+    count of the successor the branch took there; terminal is the point
     whose contraction ended the branch.  Events after the terminal never
     interact with anything and are omitted.
     """
 
-    tags: dict[Point, Rule]
-    kvals: dict[Point, int]
+    steps: dict[Point, tuple[Rule, int]]
     terminal: Point
 
 
@@ -310,8 +296,8 @@ def reconstruct_path(record: BranchRecord, params: KnotParams) -> DyckPath:
     """
     m, n = params.m, params.n
     by_rule: dict[Rule, set[Point]] = {}
-    for p, rule in record.tags.items():
-        by_rule.setdefault(rule, set()).add(p)
+    for p, (tag, _) in record.steps.items():
+        by_rule.setdefault(tag, set()).add(p)
     keeps = by_rule.get(Rule.KEEP, set())
 
     first_keep: dict[int, int] = {}
@@ -351,13 +337,13 @@ def reconstruct_path(record: BranchRecord, params: KnotParams) -> DyckPath:
             f"terminal {record.terminal} is not the most distant corner {top} of {path}"
         )
     weighted = tuple(
-        p for p, rule in record.tags.items() if rule in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT)
+        p for p, (tag, _) in record.steps.items() if tag in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT)
     )
     for p, expected_k in zip(weighted, k_values(path, weighted)):
-        if record.kvals[p] != expected_k:
+        tag, k = record.steps[p]
+        if k != expected_k:
             raise RuntimeError(
-                f"{record.tags[p].value} at {p} used k={record.kvals[p]} but the "
-                f"path {path} has k={expected_k}"
+                f"{tag.value} at {p} used k={k} but the path {path} has k={expected_k}"
             )
     return path
 
@@ -367,14 +353,17 @@ def evaluate_profiles(
 ) -> tuple[SweepResult, ...]:
     """Explore every branch of the sweep once, carrying one weight per profile.
 
-    The branch tree does not depend on the weights, so each leaf is
-    reconstructed into its Dyck path and validated once; its record is
-    then dropped, and every profile's leaf shares that path.  The leaf
-    lists come back sorted by path (N before E), and the leaf count is
-    checked against the rational Catalan number.  Each rule's weights are
-    looked up once per interval count.  Every leaf numerator sits over its
-    base's (1 - t) power, so each total is one sum of those numerators,
-    normalized once; each leaf also keeps its own normalized value.
+    The rules are written once, in apply_rule: every event steps through
+    it, the branch continues with the first successor, a second one (Keep)
+    is pushed for later, and Terminal ends the branch.  The branch tree
+    does not depend on the weights, so each leaf is reconstructed into its
+    Dyck path and validated once; its record is then dropped, and every
+    profile's leaf shares that path.  The leaf lists come back sorted by
+    path (N before E), and the leaf count is checked against the rational
+    Catalan number.  Each rule's weights are looked up once per interval
+    count.  Every leaf numerator sits over its base's (1 - t) power, so
+    each total is one sum of those numerators, normalized once; each leaf
+    also keeps its own normalized value.
     """
     events = event_list(params)
     factors: dict[tuple[Rule, int], tuple[LaurentPoly, ...]] = {}
@@ -386,37 +375,27 @@ def evaluate_profiles(
         return tuple(w * f for w, f in zip(weights, rule_factors))
 
     found: list[tuple[DyckPath, tuple[LaurentPoly, ...]]] = []
-    stack: list[tuple[int, Coloring, tuple[LaurentPoly, ...], dict, dict]] = [
-        (0, initial_coloring(params), (ONE,) * len(profiles), {}, {})
+    stack: list[tuple[int, Coloring, tuple[LaurentPoly, ...], dict]] = [
+        (0, initial_coloring(params), (ONE,) * len(profiles), {})
     ]
     while stack:
-        i, state, weights, tags, kvals = stack.pop()
+        i, state, weights, steps = stack.pop()
         while i < len(events):
             p = events[i].p
             i += 1
-            rule, idx = classify(state, p)
-            if rule is Rule.NOOP:
+            successors = apply_rule(state, p)
+            state, tag, k = successors[0]
+            if tag is Rule.NOOP:
                 continue
-            k = state.k
-            if rule is Rule.BRANCH:
-                keep_tags = dict(tags)
-                keep_tags[p] = Rule.KEEP
-                keep_kvals = dict(kvals)
-                keep_kvals[p] = k
-                stack.append((i, state, charge(weights, Rule.KEEP, k), keep_tags, keep_kvals))
-                rule = Rule.SPLIT
-                state = _cut(state, idx, p)
-                kvals[p] = k
-            elif rule is Rule.CONTRACT:
-                if k == 1:
-                    path = reconstruct_path(BranchRecord(tags, kvals, p), params)
-                    found.append((path, weights))
-                    break
-                k -= 1
-                state = _contracted(state, idx)
-                kvals[p] = k
-            tags[p] = rule
-            weights = charge(weights, rule, k)
+            if tag is Rule.TERMINAL:
+                found.append((reconstruct_path(BranchRecord(steps, p), params), weights))
+                break
+            for other, other_tag, other_k in successors[1:]:
+                stack.append(
+                    (i, other, charge(weights, other_tag, other_k), {**steps, p: (other_tag, other_k)})
+                )
+            steps[p] = (tag, k)
+            weights = charge(weights, tag, k)
         else:
             raise RuntimeError("sweep exhausted its events with intervals still alive")
 

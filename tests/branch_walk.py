@@ -1,8 +1,8 @@
 """A reference walk over the sweep's branch tree, built on the public
-classify/apply_rule stepper.
+apply_rule stepper.
 
 evaluate_profiles keeps only each leaf's path and value; the tests that
-check the rule tags and interval counts along a branch read them from this
+check the rule steps and interval counts along a branch read them from this
 walk instead.
 """
 
@@ -13,7 +13,6 @@ from khr.sweep import (
     BranchRecord,
     Rule,
     apply_rule,
-    classify,
     event_list,
     initial_coloring,
     reconstruct_path,
@@ -24,39 +23,35 @@ def walk_branches(params, profiles):
     """Every branch of the sweep of params, in the order the walk finishes them.
 
     Each item is (record, values): the branch's BranchRecord, and per
-    profile the product of its weights over the branch's transitions times
+    profile the product of its weights over the branch's successors times
     its base value.
     """
     events = event_list(params)
     out = []
 
-    def charged(weights, step):
-        return tuple(w * prof.weight(step.tag, step.weight_k) for w, prof in zip(weights, profiles))
+    def charged(weights, tag, k):
+        return tuple(w * prof.weight(tag, k) for w, prof in zip(weights, profiles))
 
-    stack = [(0, initial_coloring(params), {}, {}, (ONE,) * len(profiles))]
+    stack = [(0, initial_coloring(params), {}, (ONE,) * len(profiles))]
     while stack:
-        start, state, tags, kvals, weights = stack.pop()
+        start, state, steps, weights = stack.pop()
         for i in range(start, len(events)):
             p = events[i].p
-            rule, _ = classify(state, p)
-            successors = apply_rule(state, p, rule)
-            step = successors[0]
-            if step.tag is Rule.TERMINAL:
+            successors = apply_rule(state, p)
+            state, tag, k = successors[0]
+            if tag is Rule.TERMINAL:
                 values = tuple(prof.base * w for w, prof in zip(weights, profiles))
-                out.append((BranchRecord(tags, kvals, p), values))
+                out.append((BranchRecord(steps, p), values))
                 break
             if len(successors) == 2:
-                keep = successors[1]
+                keep_state, keep_tag, keep_k = successors[1]
                 stack.append(
-                    (i + 1, keep.state, {**tags, p: keep.tag}, {**kvals, p: keep.weight_k},
-                     charged(weights, keep))
+                    (i + 1, keep_state, {**steps, p: (keep_tag, keep_k)},
+                     charged(weights, keep_tag, keep_k))
                 )
-            if step.tag is not Rule.NOOP:
-                tags[p] = step.tag
-                if step.tag in (Rule.SPLIT, Rule.CONTRACT):
-                    kvals[p] = step.weight_k
-                weights = charged(weights, step)
-            state = step.state
+            if tag is not Rule.NOOP:
+                steps[p] = (tag, k)
+                weights = charged(weights, tag, k)
         else:
             raise RuntimeError(f"{params}: events exhausted with intervals alive")
     return out

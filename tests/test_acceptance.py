@@ -129,9 +129,9 @@ def test_criterion_05_sweep_statistics_coherence():
             record, (value,) = branches[str(leaf.path)]
             if value != leaf.value:
                 failures.append((params.m, params.n, str(leaf.path), "leaf value"))
-            for p, rule in record.tags.items():
-                if rule in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT):
-                    if record.kvals[p] != k_of(leaf.path, p):
+            for p, (tag, k) in record.steps.items():
+                if tag in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT):
+                    if k != k_of(leaf.path, p):
                         failures.append((params.m, params.n, str(leaf.path), p))
         if len(seen) != len(result.leaves):
             failures.append((params.m, params.n, "leaf paths not distinct"))

@@ -13,10 +13,21 @@ g = (m-1)(n-1)/2:
   times [m+n choose n]_q / [m+n]_q, with q-integers
   [k]_q = 1 + q + ... + q^(k-1).
 
-The arithmetic here is plain integer lists, independent of the package's
-polynomial type.  Both identities read only q2 - t2, so an error that moves
-weight between the q- and t-exponents by equal amounts passes them; the
-q <-> t symmetry check covers part of that gap.
+* HOMFLYPT at qt = 1 (Jones 1987; Rosso-Jones 1993): substitute a -> a^2,
+  q -> q^2, t -> q^-2 into the numerator N of P(m, n), so a term becomes
+  a^(2 ea) q^(q2 - t2); call the result N*.  Then
+  N* prod_{k=2..m} (q^k - q^-k) equals the mirrored hook-partition sum
+  a^(n(m-1)) sum_{b=0..m-1} (-1)^b q^(n(m-2b-1)) [m-1, b]
+  prod_{c=1..m-b-1} (a^-1 q^c - a q^-c) prod_{c=1..b} (a^-1 q^-c - a q^c),
+  with the symmetric q-binomial [N, 0] = [N, N] = 1,
+  [N, k] = q^-k [N-1, k] + q^(N-k) [N-1, k-1]: twist times quantum
+  dimension of each hook (m-b, 1^b), with the denominators cleared.
+
+The arithmetic here is plain integer lists and {(a, q) exponent:
+coefficient} dicts, independent of the package's polynomial type.  All
+three identities read only q2 - t2, so an error that moves weight between
+the q- and t-exponents by equal amounts passes them; the q <-> t symmetry
+check covers part of that gap.
 """
 
 from khr.dyck import coprime_pairs
@@ -108,12 +119,79 @@ def rational_q_catalan(m, n):
     return divide_exact(gaussian_binomial(m + n, n), q_integer(m + n))
 
 
+def aq_mul(p, r):
+    """Product of two {(a-exponent, q-exponent): coefficient} dicts."""
+    out = {}
+    for (a1, q1), c1 in p.items():
+        for (a2, q2), c2 in r.items():
+            key = (a1 + a2, q1 + q2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def aq_add(p, r):
+    out = dict(p)
+    for key, c in r.items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def aq_monomial(c, ea=0, eq=0):
+    return {(ea, eq): c}
+
+
+def symmetric_q_binomial(big, k):
+    """[big, k] in q, through [N, k] = q^-k [N-1, k] + q^(N-k) [N-1, k-1]."""
+    row = [aq_monomial(1)]  # row[j] is [i, j] for the current i
+    for i in range(1, big + 1):
+        row = [
+            aq_monomial(1),
+            *(
+                aq_add(
+                    aq_mul(aq_monomial(1, eq=-j), row[j]),
+                    aq_mul(aq_monomial(1, eq=i - j), row[j - 1]),
+                )
+                for j in range(1, i)
+            ),
+            aq_monomial(1),
+        ]
+    return row[k]
+
+
+def homflypt_hook_sum(m, n):
+    """The right side: the mirrored sum over hooks (m-b, 1^b)."""
+    total = {}
+    for b in range(m):
+        term = aq_mul(aq_monomial((-1) ** b, eq=n * (m - 2 * b - 1)), symmetric_q_binomial(m - 1, b))
+        for c in range(1, m - b):
+            term = aq_mul(term, {(-1, c): 1, (1, -c): -1})
+        for c in range(1, b + 1):
+            term = aq_mul(term, {(-1, -c): 1, (1, c): -1})
+        total = aq_add(total, term)
+    return aq_mul(aq_monomial(1, ea=n * (m - 1)), total)
+
+
+def homflypt_numerator_side(numerator, m):
+    """The left side: N* times prod_{k=2..m} (q^k - q^-k)."""
+    star = {}
+    for (ea, q2, t2), c in numerator.items():
+        star = aq_add(star, aq_monomial(c, ea=2 * ea, eq=q2 - t2))
+    for k in range(2, m + 1):
+        star = aq_mul(star, {(0, k): 1, (0, -k): -1})
+    return star
+
+
 def test_helpers_on_small_cases():
     # the trefoil's Alexander polynomial and the (3,2) q-Catalan number
     assert alexander(3, 2) == [1, -1, 1]
     assert rational_q_catalan(3, 2) == [1, 0, 1]
     assert gaussian_binomial(4, 2) == [1, 1, 2, 1, 1]
     assert times_q_power([1, 0, -1], -2) == {-2: 1, 0: -1}
+    assert symmetric_q_binomial(2, 1) == {(0, -1): 1, (0, 1): 1}
+    assert symmetric_q_binomial(4, 2) == {(0, -4): 1, (0, -2): 1, (0, 0): 2, (0, 2): 1, (0, 4): 1}
+    # the unknot: both sides are 1
+    assert homflypt_hook_sum(1, 1) == {(0, 0): 1}
+    assert homflypt_numerator_side({(0, 0, 0): 1}, 1) == {(0, 0): 1}
 
 
 def test_alexander_polynomial():
@@ -138,5 +216,17 @@ def test_rational_q_catalan():
         if value.dpow != 1:
             failures.append((m, n, f"over (1-t)^{value.dpow}"))
         elif at_t_inverse_q(value.num, a_degree=0) != times_q_power(rational_q_catalan(m, n), -2 * g):
+            failures.append((m, n))
+    assert failures == []
+
+
+def test_homflypt_at_qt_one():
+    failures = []
+    for params in coprime_pairs(MAX_SUM):
+        m, n = params.m, params.n
+        value = superpolynomial(params)
+        if value.dpow != 1:
+            failures.append((m, n, f"over (1-t)^{value.dpow}"))
+        elif homflypt_numerator_side(value.num, m) != homflypt_hook_sum(m, n):
             failures.append((m, n))
     assert failures == []

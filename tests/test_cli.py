@@ -150,12 +150,12 @@ class TestVerify:
         monkeypatch.setattr(cli, "run_suite", lambda params, **kwargs: ran.append(params))
         code, out, err = run(capsys, "verify", "--range", "msum<=32")
         assert code == 2 and not out
-        assert "(17,15)" in err and "refusing" in err
+        assert "(13,11)" in err and "refusing" in err
         assert ran == []
 
     def test_large_range_refused_without_building_it(self, capsys, monkeypatch):
         # the range holds about 1.2 million knots; the walk must stop at the
-        # first refusal, (17,15), not build them all first
+        # first refusal, (13,11), not build them all first
         built = []
         validate = KnotParams.__post_init__
 
@@ -168,8 +168,18 @@ class TestVerify:
         monkeypatch.setattr(KnotParams, "__post_init__", counting)
         code, out, err = run(capsys, "verify", "--range", "msum<=2000")
         assert code == 2 and not out
-        assert "(17,15)" in err and "refusing" in err
-        assert built[-1] == (17, 15)
+        assert "(13,11)" in err and "refusing" in err
+        assert built[-1] == (13, 11)
+
+    def test_verify_default_bound_is_lower(self, capsys):
+        # verify keeps every sweep leaf, so its default stops at 10^5 paths;
+        # compute and paths keep 10^7
+        parser = cli.build_parser()
+        for command, bound in (("compute", 10**7), ("paths", 10**7), ("verify", 10**5)):
+            assert parser.parse_args([command, "13", "11"]).max_leaves == bound
+        code, out, err = run(capsys, "verify", "13", "11")
+        assert code == 2 and not out
+        assert "(13,11) has 104006 Dyck paths" in err and "refusing" in err
 
     def test_empty_range_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--range", "msum<=1")

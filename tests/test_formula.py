@@ -149,7 +149,7 @@ class TestPathData:
 
 class TestBoundedCaches:
     def test_currsize_stays_within_maxsize(self):
-        caches = (path_data, hhh_direct, superpolynomial)
+        caches = (path_data, hhh_direct)
         bound = max(cache.cache_info().maxsize for cache in caches)
         knots = coprime_pairs(12)
         assert len(knots) > bound

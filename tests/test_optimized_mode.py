@@ -45,7 +45,7 @@ def rule_without_interval():
     classify = sweep.classify
     sweep.classify = lambda state, p: (sweep.Rule.CONTRACT, None)
     try:
-        sweep.apply_rule(sweep.initial_coloring(KnotParams(3, 2)), (0, 2), sweep.Rule.CONTRACT)
+        sweep.apply_rule(sweep.initial_coloring(KnotParams(3, 2)), (0, 2))
     finally:
         sweep.classify = classify
 
@@ -54,8 +54,8 @@ def tampered_record():
     # the NENEE branch of (3, 2), with its terminal moved off the most
     # distant corner (1, 2)
     rule = sweep.Rule
-    tags = {(1, 1): rule.SPLIT, (2, 2): rule.END_PASS, (0, 1): rule.CONTRACT}
-    record = sweep.BranchRecord(tags, {(1, 1): 1, (0, 1): 1}, (0, 1))
+    steps = {(1, 1): (rule.SPLIT, 1), (2, 2): (rule.END_PASS, 2), (0, 1): (rule.CONTRACT, 1)}
+    record = sweep.BranchRecord(steps, (0, 1))
     sweep.reconstruct_path(record, KnotParams(3, 2))
 
 

@@ -104,29 +104,33 @@ class TestClassifyApply:
 
     def test_apply_branch_splits_interval(self):
         state = coloring(3, 2, (0, 2))
-        cut, keep = apply_rule(state, (1, 1), Rule.BRANCH)
-        assert cut.state.intervals == (Interval(0, 1), Interval(1, 2))
-        assert cut.tag is Rule.SPLIT and cut.weight_k == 1
-        assert keep.state is state and keep.tag is Rule.KEEP and keep.weight_k == 1
+        (cut, cut_tag, cut_k), (keep, keep_tag, keep_k) = apply_rule(state, (1, 1))
+        assert cut.intervals == (Interval(0, 1), Interval(1, 2))
+        assert cut_tag is Rule.SPLIT and cut_k == 1
+        assert keep is state and keep_tag is Rule.KEEP and keep_k == 1
         assert HHH_PROFILE.weight(Rule.SPLIT, 1) == q_power(-1)
         assert HHH_PROFILE.weight(Rule.KEEP, 1) == T * q_power(-1)
 
     def test_apply_contract_drops_interval(self):
         state = coloring(3, 2, (0, 1), (1, 2))
-        (step,) = apply_rule(state, (0, 1), Rule.CONTRACT)
-        assert step.state.intervals == (Interval(1, 2),)
-        assert step.tag is Rule.CONTRACT and step.weight_k == 1
+        ((rest, tag, k),) = apply_rule(state, (0, 1))
+        assert rest.intervals == (Interval(1, 2),)
+        assert tag is Rule.CONTRACT and k == 1
         assert HHH_PROFILE.weight(Rule.CONTRACT, 1) == q_power(1) - A
 
     def test_apply_final_contract_is_terminal(self):
         state = coloring(3, 2, (1, 2))
-        (step,) = apply_rule(state, (1, 2), Rule.CONTRACT)
-        assert step.tag is Rule.TERMINAL
+        ((rest, tag, _),) = apply_rule(state, (1, 2))
+        assert tag is Rule.TERMINAL and rest.intervals == ()
         assert HHH_PROFILE.base == Invariant(ONE, 1)
 
-    def test_apply_rejects_wrong_rule(self):
-        with pytest.raises(ValueError):
-            apply_rule(coloring(3, 2, (0, 2)), (1, 1), Rule.CONTRACT)
+    def test_apply_pass_and_noop_keep_state(self):
+        state = coloring(3, 2, (0, 1), (1, 2))
+        assert apply_rule(state, (2, 2)) == ((state, Rule.END_PASS, 2),)
+        wide = coloring(3, 2, (0, 2))
+        assert apply_rule(wide, (0, 1)) == ((wide, Rule.START_PASS, 1),)
+        narrow = coloring(5, 2, (0, 1))
+        assert apply_rule(narrow, (4, 2)) == ((narrow, Rule.NOOP, None),)
 
 
 class TestProfiles:
@@ -201,9 +205,9 @@ class TestEvaluateHHH:
         for leaf in result.leaves:
             record, (value,) = branches[str(leaf.path)]
             assert value == leaf.value
-            for p, rule in record.tags.items():
-                if rule in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT):
-                    assert record.kvals[p] == k_of(leaf.path, p)
+            for p, (tag, k) in record.steps.items():
+                if tag in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT):
+                    assert k == k_of(leaf.path, p)
 
 
 class TestTotal:
@@ -237,14 +241,13 @@ class TestDeadIntervals:
                     ev = events[i]
                     for iv in state.intervals:
                         assert contract_distance(iv, params) >= ev.d, (params, ev, state)
-                    rule, _ = classify(state, ev.p)
-                    successors = apply_rule(state, ev.p, rule)
-                    if successors[0].tag is Rule.TERMINAL:
+                    successors = apply_rule(state, ev.p)
+                    state, tag, _ = successors[0]
+                    if tag is Rule.TERMINAL:
                         leaves += 1
                         break
                     if len(successors) == 2:
-                        stack.append((i + 1, successors[1].state))
-                    state = successors[0].state
+                        stack.append((i + 1, successors[1][0]))
                 else:
                     pytest.fail(f"{params}: events exhausted with intervals alive")
             assert leaves == rational_catalan(params)
@@ -306,11 +309,11 @@ def walked_record(params, word):
 class TestReconstruction:
     def test_trefoil_records(self):
         keep = walked_record(KnotParams(3, 2), "NNEEE")
-        assert keep.tags[(1, 1)] is Rule.KEEP
+        assert keep.steps[(1, 1)] == (Rule.KEEP, 1)
         assert keep.terminal == (0, 2)
         split = walked_record(KnotParams(3, 2), "NENEE")
-        assert split.tags[(1, 1)] is Rule.SPLIT
-        assert split.tags[(0, 1)] is Rule.CONTRACT
+        assert split.steps[(1, 1)] == (Rule.SPLIT, 1)
+        assert split.steps[(0, 1)] == (Rule.CONTRACT, 1)
         assert split.terminal == (1, 2)
 
     def test_reconstruct_round_trip(self):
@@ -326,15 +329,15 @@ class TestReconstruction:
     def test_tampered_record_rejected(self):
         params = KnotParams(3, 2)
         record = walked_record(params, "NENEE")
-        broken = BranchRecord(dict(record.tags), dict(record.kvals), (0, 1))
+        broken = BranchRecord(dict(record.steps), (0, 1))
         with pytest.raises(RuntimeError):
             reconstruct_path(broken, params)
 
     def test_tampered_k_rejected(self):
         params = KnotParams(3, 2)
         record = walked_record(params, "NENEE")
-        bad_k = dict(record.kvals)
-        bad_k[(1, 1)] = 7
-        broken = BranchRecord(dict(record.tags), bad_k, record.terminal)
+        bad_k = dict(record.steps)
+        bad_k[(1, 1)] = (Rule.SPLIT, 7)
+        broken = BranchRecord(bad_k, record.terminal)
         with pytest.raises(RuntimeError):
             reconstruct_path(broken, params)
