@@ -33,17 +33,17 @@ def main() -> None:
             continue
         report = leaf_ratio_report(params, *evaluate_profiles(params, (HHH_PROFILE, TORIC_PROFILE)))
         total += 1
-        shared += report.shares_global_monomial
-        spread = Counter(e.pretty for e in report.entries)
+        shared += report["shares_global_monomial"]
+        spread = Counter(leaf["ratio"] for leaf in report["leaves"])
         print(
-            f"T({params.m},{params.n}): {len(report.entries)} leaves, "
+            f"T({params.m},{params.n}): {len(report['leaves'])} leaves, "
             f"{len(spread)} distinct ratios, "
-            f"shared={'yes' if report.shares_global_monomial else 'no'}, "
-            f"single-interval prediction {report.single_interval_prediction}"
+            f"shared={'yes' if report['shares_global_monomial'] else 'no'}, "
+            f"single-interval prediction {report['single_interval_prediction']}"
         )
         if args.per_leaf:
-            for entry in report.entries:
-                print(f"    {entry.path}: {entry.pretty}")
+            for leaf in report["leaves"]:
+                print(f"    {leaf['path']}: {leaf['ratio']}")
         else:
             listing = ", ".join(f"{r} x{c}" if c > 1 else r for r, c in sorted(spread.items()))
             print(f"    ratios: {listing}")

@@ -1,9 +1,10 @@
 import json
 
 import khr.cli as cli
+import khr.verify
 from khr.dyck import KnotParams
 from khr.formula import superpolynomial
-from khr.laurent import invariant_from_json
+from khr.laurent import ONE, Invariant, invariant_from_json
 
 
 def run(capsys, *argv):
@@ -197,6 +198,63 @@ class TestVerify:
 
     def test_link_exit_code(self, capsys):
         assert run(capsys, "verify", "4", "2")[0] == 3
+
+
+class TestVerifyFailure:
+    """verify reports a broken evaluator: FAIL marks, exit 1, and a false
+    overall_pass; a failing symmetry check alone can be demoted."""
+
+    @staticmethod
+    def break_closed_form(monkeypatch):
+        monkeypatch.setattr(khr.verify, "hhh_direct", lambda params: Invariant(ONE, 1))
+
+    @staticmethod
+    def break_symmetry(monkeypatch):
+        real = khr.verify.superpolynomial
+
+        def lopsided(params):
+            return real(params) if params.m > params.n else Invariant(ONE, 1)
+
+        monkeypatch.setattr(khr.verify, "superpolynomial", lopsided)
+
+    def test_text_marks_failures(self, capsys, monkeypatch):
+        self.break_closed_form(monkeypatch)
+        self.break_symmetry(monkeypatch)
+        code, out, _ = run(capsys, "verify", "3", "2")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[1].endswith(": pass")  # the identities read no evaluator
+        assert lines[2] == "  cross-check (closed form vs sweep), 2 leaves: FAIL"
+        assert lines[3] == "  catalan specialization: expected 2, got 1: FAIL"
+        assert lines[4] == "  symmetry [external property]: (m,n)<->(n,m) FAIL, q<->t pass"
+        assert lines[-1] == "  overall: FAIL"
+
+    def test_json_overall_false(self, capsys, monkeypatch):
+        self.break_closed_form(monkeypatch)
+        self.break_symmetry(monkeypatch)
+        code, out, _ = run(capsys, "verify", "3", "2", "--format", "json")
+        assert code == 1
+        (report,) = json.loads(out)
+        assert report["overall_pass"] is False
+        assert report["cross_check"]["pass"] is False
+        assert report["cross_check"]["total_match"] is False
+        assert report["catalan"]["pass"] is False
+        assert report["symmetry"]["pass"] is False
+        assert report["identities"]["pass"] is True
+
+    def test_symmetry_failure_demoted_to_warning(self, capsys, monkeypatch):
+        self.break_symmetry(monkeypatch)
+        code, out, _ = run(capsys, "verify", "3", "2")
+        assert code == 1 and out.splitlines()[-1] == "  overall: FAIL"
+        code, out, _ = run(capsys, "verify", "3", "2", "--external-as-warnings")
+        assert code == 0
+        assert "symmetry [external property] (warning only): (m,n)<->(n,m) FAIL" in out
+        assert out.splitlines()[-1] == "  overall: pass"
+        code, out, _ = run(capsys, "verify", "3", "2", "--external-as-warnings", "--format", "json")
+        assert code == 0
+        (report,) = json.loads(out)
+        assert report["overall_pass"] is True and report["external_strict"] is False
+        assert report["symmetry"]["pass"] is False
 
 
 def _range_pairs(bound):

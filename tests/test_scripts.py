@@ -37,9 +37,18 @@ class TestScripts:
         assert {(row["m"], row["n"]) for row in rows} >= {(3, 2), (5, 2), (4, 3)}
 
     def test_profile_ratio_survey(self):
-        result = run_script("scripts/profile_ratio_survey.py", "--max-sum", "7")
-        assert result.returncode == 0, result.stderr
-        assert "pairs share one global monomial" in result.stdout
+        # the trefoil's header and the lines below it, without and with --per-leaf
+        header = "T(3,2): 2 leaves, 2 distinct ratios, shared=no, single-interval prediction q^(-1/2)"
+        for flags, trefoil in (
+            ((), ["    ratios: q, q^(3/2)"]),
+            (("--per-leaf",), ["    NNEEE: q", "    NENEE: q^(3/2)"]),
+        ):
+            result = run_script("scripts/profile_ratio_survey.py", "--max-sum", "7", *flags)
+            assert result.returncode == 0, result.stderr
+            assert "pairs share one global monomial" in result.stdout
+            lines = result.stdout.splitlines()
+            start = lines.index(header) + 1
+            assert lines[start : start + len(trefoil)] == trefoil
 
 
 def load_tracer():

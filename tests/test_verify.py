@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,6 @@ from khr.verify import (
     cross_check,
     identity_suite,
     leaf_ratio_report,
-    report_json,
     report_lines,
     run_suite,
     sign_structure_ok,
@@ -26,78 +27,82 @@ def both_sweeps(params):
 
 class TestIdentitySuite:
     def test_trefoil_rows(self):
-        rows = {row.path: row for row in identity_suite(KnotParams(3, 2))}
+        rows = {row["path"]: row for row in identity_suite(KnotParams(3, 2))["paths"]}
         keep = rows["NNEEE"]
-        assert keep.hplus == 0 and keep.k_interior == 1 and keep.genus == 1
-        assert keep.i3
+        # genus 1: i3 reads hplus + k_interior = 0 + 1, i1 reads interior + opairs
+        assert keep["hplus"] == 0 and keep["k_interior"] == 1
+        assert keep["interior"] + keep["opairs"] == 1
+        assert keep["i1"] and keep["i3"]
         split = rows["NENEE"]
-        assert split.hplus == 1 and split.k_interior == 0
-        assert split.i3
-        assert split.k_inner == 1 and split.k_outer_trimmed == 1
-        assert split.i4
+        assert split["hplus"] == 1 and split["k_interior"] == 0
+        assert split["i3"]
+        assert split["k_inner"] == 1 and split["k_outer_trimmed"] == 1
+        assert split["i4"]
 
     def test_unknot_row(self):
-        (row,) = identity_suite(KnotParams(1, 1))
-        assert row.interior_count == 0 and row.opairs == 0 and row.i1
+        (row,) = identity_suite(KnotParams(1, 1))["paths"]
+        assert row["interior"] == 0 and row["opairs"] == 0 and row["i1"]
 
     @given(small_coprime)
     @settings(max_examples=40, deadline=None)
     def test_all_identities_hold(self, params):
-        assert all(row.passed for row in identity_suite(params))
+        suite = identity_suite(params)
+        assert all(row["i1"] and row["i2"] and row["i3"] and row["i4"] for row in suite["paths"])
+        assert suite["pass"]
 
 
 class TestCrossCheck:
     def test_trefoil(self):
         check = cross_check(KnotParams(3, 2), evaluate(KnotParams(3, 2), HHH_PROFILE))
-        assert check.passed and check.leaf_count == 2
+        assert check["pass"] and check["leaf_count"] == 2
 
     def test_unknot_family(self):
         for n in (1, 7, 20):
-            assert cross_check(KnotParams(1, n), evaluate(KnotParams(1, n), HHH_PROFILE)).passed
+            assert cross_check(KnotParams(1, n), evaluate(KnotParams(1, n), HHH_PROFILE))["pass"]
 
     def test_53_leaf_count(self):
         check = cross_check(KnotParams(5, 3), evaluate(KnotParams(5, 3), HHH_PROFILE))
-        assert check.passed and check.leaf_count == 7
+        assert check["pass"] and check["leaf_count"] == 7
 
 
 class TestCatalan:
     def test_examples(self):
-        assert catalan_check(KnotParams(3, 2)).got == 2
-        assert catalan_check(KnotParams(1, 1)).got == 1
-        assert catalan_check(KnotParams(5, 2)).got == 3
+        assert catalan_check(KnotParams(3, 2))["got"] == 2
+        assert catalan_check(KnotParams(1, 1))["got"] == 1
+        assert catalan_check(KnotParams(5, 2))["got"] == 3
 
     @given(small_coprime)
     @settings(max_examples=40, deadline=None)
     def test_specialization_counts_paths(self, params):
-        assert catalan_check(params).passed
+        assert catalan_check(params)["pass"]
 
 
 class TestSymmetry:
     def test_examples(self):
-        assert symmetry_checks(KnotParams(3, 2)).passed
-        assert symmetry_checks(KnotParams(1, 1)).passed
-        assert symmetry_checks(KnotParams(5, 3)).passed
+        assert symmetry_checks(KnotParams(3, 2))["pass"]
+        assert symmetry_checks(KnotParams(1, 1))["pass"]
+        assert symmetry_checks(KnotParams(5, 3))["pass"]
 
 
 class TestLeafRatios:
     def test_trefoil_table(self):
         report = leaf_ratio_report(KnotParams(3, 2), *both_sweeps(KnotParams(3, 2)))
-        ratios = {e.path: e.pretty for e in report.entries}
+        ratios = {leaf["path"]: leaf["ratio"] for leaf in report["leaves"]}
         assert ratios == {"NNEEE": "q", "NENEE": "q^(3/2)"}
-        assert report.all_monomial
-        assert not report.shares_global_monomial
-        assert report.single_interval_prediction == "q^(-1/2)"
+        assert report["all_monomial"] and report["pass"]
+        assert not report["shares_global_monomial"]
+        assert report["single_interval_prediction"] == "q^(-1/2)"
 
     def test_unknot_single_leaf(self):
         report = leaf_ratio_report(KnotParams(1, 1), *both_sweeps(KnotParams(1, 1)))
-        (entry,) = report.entries
-        assert entry.pretty == "-1"
-        assert report.shares_global_monomial
+        (leaf,) = report["leaves"]
+        assert leaf["ratio"] == "-1"
+        assert report["shares_global_monomial"]
 
     @given(small_coprime)
     @settings(max_examples=20, deadline=None)
     def test_all_ratios_are_monomials(self, params):
-        assert leaf_ratio_report(params, *both_sweeps(params)).all_monomial
+        assert leaf_ratio_report(params, *both_sweeps(params))["all_monomial"]
 
 
 class TestSignStructure:
@@ -120,15 +125,15 @@ class TestSignStructure:
 class TestReport:
     def test_full_suite_passes(self):
         report = run_suite(KnotParams(4, 3))
-        assert report.overall_pass
-        assert report.identities_pass
-        assert report.cross.passed and report.catalan.passed
+        assert report["overall_pass"]
+        assert report["identities"]["pass"]
+        assert report["cross_check"]["pass"] and report["catalan"]["pass"]
 
     def test_suite_selection(self):
         report = run_suite(KnotParams(3, 2), suites={"catalan"})
-        assert report.identities is None and report.cross is None
-        assert report.catalan.passed
-        assert report.overall_pass
+        assert "identities" not in report and "cross_check" not in report
+        assert report["catalan"]["pass"]
+        assert report["overall_pass"]
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
@@ -137,16 +142,43 @@ class TestReport:
     def test_external_demotion_flag(self):
         strict = run_suite(KnotParams(3, 2))
         lax = run_suite(KnotParams(3, 2), external_strict=False)
-        assert strict.overall_pass and lax.overall_pass
-        assert not lax.external_strict
+        assert strict["overall_pass"] and lax["overall_pass"]
+        assert strict["external_strict"] and not lax["external_strict"]
 
     def test_json_and_text_render(self):
         report = run_suite(KnotParams(3, 2))
-        data = report_json(report)
+        data = json.loads(json.dumps(report, sort_keys=True))
+        assert data == report
         assert data["overall_pass"] is True
         assert data["catalan"]["expected"] == 2
         assert data["symmetry"]["label"] == "external property"
         assert data["leaf_ratios"]["shares_global_monomial"] is False
+        # the exact key set of every section, identity row and ratio leaf
+        header = {"m", "n", "overall_pass", "external_strict"}
+        sections = {
+            "identities": {"pass", "paths"},
+            "cross_check": {"pass", "total_match", "leaf_count", "expected_leaf_count", "mismatches"},
+            "catalan": {"pass", "expected", "got"},
+            "symmetry": {"pass", "mn_symmetric", "qt_symmetric", "label"},
+            "leaf_ratios": {"pass", "all_monomial", "shares_global_monomial", "single_interval_prediction", "leaves"},
+        }
+        assert set(data) == header | set(sections)
+        for key, keys in sections.items():
+            assert set(data[key]) == keys, key
+        row_keys = {"path", "i1", "i2", "i3", "i4", "interior", "opairs", "hplus", "k_interior", "k_inner", "k_outer_trimmed"}
+        assert [set(row) for row in data["identities"]["paths"]] == [row_keys] * 2
+        assert [set(leaf) for leaf in data["leaf_ratios"]["leaves"]] == [{"path", "is_monomial", "ratio"}] * 2
+        # a --suite selection keeps only the selected sections
+        section_of = {
+            "identities": "identities",
+            "cross": "cross_check",
+            "catalan": "catalan",
+            "symmetry": "symmetry",
+            "ratios": "leaf_ratios",
+        }
+        for selection in ({"identities"}, {"cross"}, {"catalan"}, {"symmetry"}, {"ratios"}, {"cross", "ratios"}):
+            selected = run_suite(KnotParams(3, 2), suites=selection)
+            assert set(selected) == header | {section_of[name] for name in selection}
         lines = report_lines(report)
         assert lines[0] == "verification of (3,2)"
         assert any("overall: pass" in line for line in lines)
@@ -167,7 +199,7 @@ class TestSharedSweep:
         for suites, names in ((None, ("HHH", "I")), ({"cross"}, ("HHH",)), ({"catalan"}, None)):
             traversals.clear()
             for params in knots:
-                assert run_suite(params, suites=suites).overall_pass
+                assert run_suite(params, suites=suites)["overall_pass"]
             assert traversals == ([] if names is None else [(p, names) for p in knots])
 
     def test_given_sweep_matches_fresh(self):
@@ -177,16 +209,16 @@ class TestSharedSweep:
         toric = evaluate(params, TORIC_PROFILE)
         shared_hhh, shared_toric = both_sweeps(params)
         assert cross_check(params, hhh) == cross_check(params, shared_hhh)
-        assert cross_check(params, hhh).passed
+        assert cross_check(params, hhh)["pass"]
         assert leaf_ratio_report(params, hhh, toric) == leaf_ratio_report(params, shared_hhh, shared_toric)
         assert leaf_ratio_report(params, hhh, shared_toric) == leaf_ratio_report(params, shared_hhh, toric)
 
     def test_wrong_sweep_detected(self):
         params = KnotParams(5, 3)
         hhh, toric = both_sweeps(params)
-        assert not cross_check(params, evaluate(params, TORIC_PROFILE)).passed
-        assert not cross_check(params, evaluate(KnotParams(3, 5), HHH_PROFILE)).passed
-        with pytest.raises(ValueError):
+        assert not cross_check(params, evaluate(params, TORIC_PROFILE))["pass"]
+        assert not cross_check(params, evaluate(KnotParams(3, 5), HHH_PROFILE))["pass"]
+        with pytest.raises(RuntimeError, match="not polynomial"):
             leaf_ratio_report(params, evaluate(params, TORIC_PROFILE), toric)
         with pytest.raises(RuntimeError):
             leaf_ratio_report(params, evaluate(KnotParams(3, 5), HHH_PROFILE), toric)
