@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator
 
 Point = tuple[int, int]
@@ -73,65 +73,48 @@ def coprime_pairs(max_sum: int) -> list[KnotParams]:
     return list(iter_coprime_pairs(max_sum))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DyckPath:
-    """A single (m, n)-Dyck path, stored as its N/E step sequence."""
+    """A single (m, n)-Dyck path, stored as its row columns: columns[y] is
+    the x-coordinate of the N step in row y = 0 .. n-1.  str(path) is its
+    N/E word, and tuple order on columns is the word order with N < E."""
 
     params: KnotParams
-    steps: tuple[str, ...]
+    columns: tuple[int, ...]
 
     def __post_init__(self) -> None:
         m, n = self.params.m, self.params.n
-        if len(self.steps) != m + n:
-            raise ValueError(f"expected {m + n} steps, got {len(self.steps)}")
-        x = y = 0
-        for s in self.steps:
-            if s == "E":
-                x += 1
-            elif s == "N":
-                y += 1
-            else:
-                raise ValueError(f"invalid step {s!r}")
-            if m * y < n * x:
-                raise ValueError(f"path {''.join(self.steps)} dips below the diagonal")
-        if x != m or y != n:
-            raise ValueError(f"path has {x} E and {y} N steps, expected {m} and {n}")
+        if len(self.columns) != n:
+            raise ValueError(f"expected {n} rows, got {len(self.columns)}")
+        prev = 0
+        for y, x in enumerate(self.columns):
+            if x < prev:
+                raise ValueError(f"columns {self.columns} decrease at row {y}")
+            # with y < n this also keeps x below m
+            if n * x > m * y:
+                raise ValueError(f"path {self} dips below the diagonal")
+            prev = x
 
     @classmethod
     def from_string(cls, params: KnotParams, word: str) -> "DyckPath":
-        return cls(params, tuple(word))
+        """The path whose N/E word is word."""
+        columns = []
+        x = 0
+        for s in word:
+            if s == "E":
+                x += 1
+            elif s == "N":
+                columns.append(x)
+            else:
+                raise ValueError(f"invalid step {s!r}")
+        if x != params.m:
+            raise ValueError(f"path {word} has {x} E steps, expected {params.m}")
+        return cls(params, tuple(columns))
 
     def __str__(self) -> str:
-        return "".join(self.steps)
-
-    @property
-    def sort_key(self) -> tuple[int, ...]:
-        # lexicographic with N < E
-        return tuple(0 if s == "N" else 1 for s in self.steps)
-
-    @cached_property
-    def vertices(self) -> tuple[Point, ...]:
-        pts = [(0, 0)]
-        x = y = 0
-        for s in self.steps:
-            if s == "E":
-                x += 1
-            else:
-                y += 1
-            pts.append((x, y))
-        return tuple(pts)
-
-    @cached_property
-    def columns(self) -> tuple[int, ...]:
-        """x-coordinate of the vertical step in each row y = 0 .. n-1."""
-        cols = []
-        x = 0
-        for s in self.steps:
-            if s == "E":
-                x += 1
-            else:
-                cols.append(x)
-        return tuple(cols)
+        cols = self.columns
+        runs = (x - prev for prev, x in zip((0, *cols), cols))
+        return "".join("E" * run + "N" for run in runs) + "E" * (self.params.m - cols[-1])
 
     def row_span(self, y: int) -> tuple[int, int]:
         """Horizontal extent [lo, hi] of the path at height y."""
@@ -154,26 +137,17 @@ class DyckPath:
 
 @lru_cache(maxsize=64)
 def enumerate_paths(params: KnotParams) -> tuple[DyckPath, ...]:
-    """All (m, n)-Dyck paths, lexicographically ordered with N < E."""
+    """All (m, n)-Dyck paths, ordered by columns (the N < E word order).
+
+    Row y's N step can sit at any x from row y-1's column up to the last
+    one not below the diagonal, floor(m*y/n); row 0's is at x = 0.
+    """
     m, n = params.m, params.n
-    out: list[DyckPath] = []
-    prefix: list[str] = []
-
-    def extend(x: int, y: int) -> None:
-        if x == m and y == n:
-            out.append(DyckPath(params, tuple(prefix)))
-            return
-        if y < n:  # an N step can never dip below the diagonal
-            prefix.append("N")
-            extend(x, y + 1)
-            prefix.pop()
-        if x < m and m * y >= n * (x + 1):
-            prefix.append("E")
-            extend(x + 1, y)
-            prefix.pop()
-
-    extend(0, 0)
-    return tuple(out)
+    prefixes: list[tuple[int, ...]] = [(0,)]
+    for y in range(1, n):
+        top = m * y // n
+        prefixes = [(*cols, x) for cols in prefixes for x in range(cols[-1], top + 1)]
+    return tuple(DyckPath(params, cols) for cols in prefixes)
 
 
 def area(path: DyckPath) -> int:
@@ -214,29 +188,22 @@ def hplus(path: DyckPath) -> int:
     window = (1 << (m + n - 1)) - 1  # offsets DN + 1 .. DN + m + n - 1
     count = 0
     e_seen = 0
-    d = 0
-    for s in path.steps:
-        if s == "N":
-            if (e_seen >> d) & 1 or (e_seen >> (d + m + n)) & 1:
-                raise RuntimeError("degenerate offset-interval contact")
-            count += ((e_seen >> (d + 1)) & window).bit_count()
-            d += m
-        else:
-            e_seen |= 1 << d
-            d -= n
+    prev = 0
+    for y, x in enumerate(path.columns):
+        for e in range(prev, x):
+            e_seen |= 1 << (m * y - n * e)
+        d = m * y - n * x
+        if (e_seen >> d) & 1 or (e_seen >> (d + m + n)) & 1:
+            raise RuntimeError("degenerate offset-interval contact")
+        count += ((e_seen >> (d + 1)) & window).bit_count()
+        prev = x
     return count
 
 
 def opairs(path: DyckPath) -> int:
-    """Number of (E step, later N step) pairs, with no line condition."""
-    count = 0
-    es_so_far = 0
-    for s in path.steps:
-        if s == "E":
-            es_so_far += 1
-        else:
-            count += es_so_far
-    return count
+    """Number of (E step, later N step) pairs, with no line condition: row
+    y's N step follows columns[y] E steps."""
+    return sum(path.columns)
 
 
 def corners(path: DyckPath) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
@@ -256,16 +223,19 @@ def corners(path: DyckPath) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
 
 
 def pass_through_points(path: DyckPath) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
-    """(vertical, horizontal) pass-through vertices: N-then-N and E-then-E."""
-    vertical: list[Point] = []
-    horizontal: list[Point] = []
-    for i in range(1, len(path.steps)):
-        prev, nxt = path.steps[i - 1], path.steps[i]
-        if prev == "N" and nxt == "N":
-            vertical.append(path.vertices[i])
-        elif prev == "E" and nxt == "E":
-            horizontal.append(path.vertices[i])
-    return tuple(vertical), tuple(horizontal)
+    """(vertical, horizontal) pass-through vertices: N-then-N and E-then-E.
+
+    Row y's N step continues row y-1's where the two columns agree, and the
+    E steps at height y, from x = lo to hi, pass through lo+1 .. hi-1.
+    """
+    cols = path.columns
+    vertical = tuple((x, y) for y, (prev, x) in enumerate(zip(cols, cols[1:]), 1) if x == prev)
+    horizontal = tuple(
+        (x, y)
+        for y, (lo, hi) in enumerate(zip((0, *cols), (*cols, path.params.m)))
+        for x in range(lo + 1, hi)
+    )
+    return vertical, horizontal
 
 
 def most_distant(params: KnotParams, outer: tuple[Point, ...]) -> Point:
@@ -301,15 +271,16 @@ def k_values(path: DyckPath, points: tuple[Point, ...]) -> tuple[int, ...]:
         if not (path.is_on(p) or (dp > 0 and path.is_strictly_below(p))):
             raise ValueError(f"point {p} is neither on the path nor strictly below it")
         offsets.append(dp)
+    # row y's N step from (hi, y) tops out at offset m*(y+1) - n*hi, and an
+    # E step from (x, y) at its start; every vertex has d >= 0, so every
+    # shift is nonnegative
     n_tops = e_tops = 0
-    d = 0  # every vertex has d >= 0, so every shift is nonnegative
-    for s in path.steps:
-        if s == "N":
-            d += m
-            n_tops |= 1 << d
-        else:
-            e_tops |= 1 << d
-            d -= n
+    cols = path.columns
+    for y, (lo, hi) in enumerate(zip((0, *cols), (*cols, m))):
+        for x in range(lo, hi):
+            e_tops |= 1 << (m * y - n * x)
+        if y < n:
+            n_tops |= 1 << (m * (y + 1) - n * hi)
     n_window = (1 << (m - 1)) - 1
     e_window = (1 << (n - 1)) - 1
     out = []

@@ -104,18 +104,6 @@ class Coloring:
     def k(self) -> int:
         return len(self.intervals)
 
-    @property
-    def strand_count(self) -> int:
-        """Number of braid strands the start state encodes: the interval
-        count plus, per interval, the vertical grid lines it crosses.
-        Meaningful for the initial state (line just above the origin)."""
-        m, n = self.params.m, self.params.n
-        total = self.k
-        for iv in self.intervals:
-            start_floor = 0 if iv.start_col == 0 else (n * iv.start_col - 1) // m
-            total += iv.end_row - 1 - start_floor
-        return total
-
 
 @dataclass(frozen=True)
 class Event:
@@ -303,17 +291,15 @@ def reconstruct_path(record: BranchRecord, params: KnotParams) -> DyckPath:
     first_keep: dict[int, int] = {}
     for x, y in keeps:
         first_keep[y] = min(x, first_keep.get(y, x))
-    steps: list[str] = []
+    columns: list[int] = []
     prev = 0
     for y in range(n):
         col = first_keep[y] - 1 if y in first_keep else (m * y) // n
         if col < prev:
             raise RuntimeError(f"keep set {sorted(keeps)} yields no monotone path")
-        steps.extend("E" * (col - prev))
-        steps.append("N")
+        columns.append(col)
         prev = col
-    steps.extend("E" * (m - prev))
-    path = DyckPath(params, tuple(steps))
+    path = DyckPath(params, tuple(columns))
 
     outer, inner = corners(path)
     top = most_distant(params, outer)
@@ -399,11 +385,11 @@ def evaluate_profiles(
         else:
             raise RuntimeError("sweep exhausted its events with intervals still alive")
 
-    found.sort(key=lambda leaf: leaf[0].sort_key)
+    found.sort(key=lambda leaf: leaf[0].columns)
     expected = rational_catalan(params)
     if len(found) != expected:
         raise RuntimeError(f"{len(found)} leaves, expected {expected}")
-    if len({str(path) for path, _ in found}) != len(found):
+    if len({path for path, _ in found}) != len(found):
         raise RuntimeError("duplicate leaf paths")
     results = []
     for j, profile in enumerate(profiles):

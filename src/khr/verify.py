@@ -35,7 +35,7 @@ from .laurent import (
     monomial_ratio,
     specialize_count,
 )
-from .sweep import HHH_PROFILE, TORIC_PROFILE, SweepResult, evaluate_profiles, initial_coloring
+from .sweep import HHH_PROFILE, TORIC_PROFILE, SweepResult, evaluate_profiles
 
 
 def identity_suite(params: KnotParams) -> dict:
@@ -79,13 +79,13 @@ def cross_check(params: KnotParams, hhh: SweepResult) -> dict:
     total_match = hhh.total == hhh_direct(params)
     leaf_count = len(hhh.leaves)
     expected_leaf_count = rational_catalan(params)
-    by_path = {str(leaf.path): leaf.value for leaf in hhh.leaves}
+    by_path = {leaf.path: leaf.value for leaf in hhh.leaves}
     mismatches = []
     for path, term in zip(enumerate_paths(params), hhh_terms(params), strict=True):
-        expected = Invariant(term, 1)
-        got = by_path.get(str(path))
-        if got != expected:
-            mismatches.append(f"{path}: sweep {got}, closed form {expected}")
+        # a summand is nonzero at t = 1, so term / (1 - t) is already normal
+        got = by_path.get(path)
+        if got is None or got.dpow != 1 or got.num != term:
+            mismatches.append(f"{path}: sweep {got}, closed form {Invariant(term, 1)}")
     return {
         "pass": total_match and not mismatches and leaf_count == expected_leaf_count,
         "total_match": total_match,
@@ -129,7 +129,7 @@ def leaf_ratio_report(params: KnotParams, hhh: SweepResult, toric: SweepResult) 
     one_minus_a = ONE - A
     leaves = []
     for h_leaf, t_leaf in zip(hhh.leaves, toric.leaves):
-        if str(h_leaf.path) != str(t_leaf.path):
+        if h_leaf.path != t_leaf.path:
             raise RuntimeError(f"leaf paths differ: {h_leaf.path} vs {t_leaf.path}")
         # both leaves are x / (1-t)^d with the HHH side at d = 1 and the
         # scalar side at d = 0, so (1-a)(1-t) * HHH leaf is polynomial
@@ -145,31 +145,15 @@ def leaf_ratio_report(params: KnotParams, hhh: SweepResult, toric: SweepResult) 
             }
         )
     all_monomial = all(leaf["is_monomial"] for leaf in leaves)
-    start = initial_coloring(params)
-    strands = start.strand_count
+    # the sweep starts from one interval on the n strands of the braid
+    n = params.n
     return {
         "pass": all_monomial,
         "all_monomial": all_monomial,
         "shares_global_monomial": all_monomial and len({leaf["ratio"] for leaf in leaves}) <= 1,
-        "single_interval_prediction": _pretty_monomial(
-            1 if strands % 2 == 0 else -1, (0, start.k - strands, 0), 1
-        ),
+        "single_interval_prediction": _pretty_monomial(1 if n % 2 == 0 else -1, (0, 1 - n, 0), 1),
         "leaves": leaves,
     }
-
-
-def sign_structure_ok(params: KnotParams) -> bool:
-    """In the unnormalized numerator every a^j coefficient carries sign
-    (-1)^j.  That numerator is q^(-genus) times the sum of the display
-    summands t^area q^hplus prod (1 - a q^(-k)), and the normalized one is
-    a^genus q^(genus/2) t^(-genus/2) times it, so the normalized signs
-    alternate starting from + at a-degree genus."""
-    series = hhh_direct(params)
-    if series.dpow != 1:
-        raise RuntimeError(
-            f"unnormalized series of {params} is over (1-t)^{series.dpow}, not (1-t)"
-        )
-    return all((c > 0) == (ea % 2 == 0) for (ea, _, _), c in series.num.items())
 
 
 # suite name -> its section key in the report, in the order the suites run

@@ -87,6 +87,46 @@ class TestEnumeration:
             path(3, 2, "ENNEE")
         with pytest.raises(ValueError):
             path(3, 2, "NNEE")
+        assert path(5, 3, "NENNEEEE").columns == (0, 1, 1)
+        with pytest.raises(ValueError, match="invalid step"):
+            path(5, 3, "NENNEEEX")
+        with pytest.raises(ValueError, match="invalid step"):
+            path(5, 3, "nennEEEE")
+        with pytest.raises(ValueError, match="E steps"):
+            path(5, 3, "NENNEEE")
+        with pytest.raises(ValueError, match="E steps"):
+            path(5, 3, "NENNEEEEE")
+        with pytest.raises(ValueError, match="rows"):
+            path(5, 3, "NENNNEEEE")
+
+    def test_invalid_columns_rejected(self):
+        params = KnotParams(5, 3)
+        assert DyckPath(params, (0, 1, 3)).columns == (0, 1, 3)
+        with pytest.raises(ValueError, match="rows"):
+            DyckPath(params, (0, 1))
+        with pytest.raises(ValueError, match="rows"):
+            DyckPath(params, (0, 1, 3, 5))
+        with pytest.raises(ValueError, match="decrease"):
+            DyckPath(params, (0, 1, 0))
+        with pytest.raises(ValueError, match="decrease"):
+            DyckPath(params, (-1, 0, 0))
+        with pytest.raises(ValueError, match="below"):
+            DyckPath(params, (0, 1, 6))  # x > m
+        with pytest.raises(ValueError, match="below"):
+            DyckPath(params, (0, 2, 2))  # (2, 1) is below the diagonal
+
+    def test_word_round_trip_up_to_14(self):
+        checked = 0
+        for params in coprime_pairs(14):
+            paths = enumerate_paths(params)
+            columns = [p.columns for p in paths]
+            assert all(a < b for a, b in zip(columns, columns[1:]))
+            for p in paths:
+                word = str(p)
+                assert len(word) == params.m + params.n
+                assert DyckPath.from_string(params, word) == p
+            checked += len(paths)
+        assert checked == sum(rational_catalan(q) for q in coprime_pairs(14))
 
     @given(small_coprime)
     def test_matches_brute_force(self, params):
@@ -198,7 +238,9 @@ class TestInvariants:
         }
         for p in enumerate_paths(params):
             on_or_below = {q for q in positive if p.is_on(q) or p.is_strictly_below(q)}
-            on_path = {q for q in p.vertices if distance(params, q) > 0}
+            word = str(p)
+            vertices = {(word[:i].count("E"), word[:i].count("N")) for i in range(m + n + 1)}
+            on_path = {q for q in vertices if distance(params, q) > 0}
             assert set(interior_points(p)) | on_path == on_or_below
             assert set(interior_points(p)) & on_path == set()
 

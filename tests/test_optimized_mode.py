@@ -69,6 +69,7 @@ def wrong_leaf_count():
 
 
 checks = [
+    ("path below diagonal", lambda: DyckPath(KnotParams(3, 2), (0, 2))),
     ("k agreement", lambda: k_of(DyckPath.from_string(KnotParams(3, 2), "NNEEE"), (0, 1))),
     ("degenerate contact", lambda: hplus(link_path(3, 3, "NENNEE"))),
     ("corner collision", lambda: vstar(link_path(3, 3, "NENENE"))),
@@ -114,6 +115,7 @@ def test_guards_raise_under_optimize():
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
         "optimize 1",
+        "path below diagonal ValueError",
         "k agreement ValueError",
         "degenerate contact RuntimeError",
         "corner collision RuntimeError",

@@ -40,11 +40,6 @@ class TestStateTypes:
         assert initial_coloring(KnotParams(1, 1)).intervals == (Interval(0, 1),)
         assert initial_coloring(KnotParams(4, 3)).intervals == (Interval(0, 3),)
 
-    def test_strand_count_matches_braid(self):
-        # the sweep of the (m, n) knot starts on n strands
-        for m, n in [(3, 2), (2, 3), (5, 3), (1, 1), (7, 4)]:
-            assert initial_coloring(KnotParams(m, n)).strand_count == n
-
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             coloring(5, 3, (1, 2), (1, 3))
@@ -320,7 +315,7 @@ class TestReconstruction:
         params = KnotParams(5, 3)
         paths = sorted(
             (reconstruct_path(record, params) for record, _ in walk_branches(params, (HHH_PROFILE,))),
-            key=lambda path: path.sort_key,
+            key=lambda path: path.columns,
         )
         assert [str(path) for path in paths] == [
             str(leaf.path) for leaf in evaluate(params, HHH_PROFILE).leaves

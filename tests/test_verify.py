@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import khr.verify
 from khr.dyck import KnotParams, coprime_pairs
+from khr.formula import hhh_direct
 from khr.laurent import Invariant, ONE
 from khr.sweep import HHH_PROFILE, TORIC_PROFILE, evaluate, evaluate_profiles
 from khr.verify import (
@@ -14,11 +15,24 @@ from khr.verify import (
     leaf_ratio_report,
     report_lines,
     run_suite,
-    sign_structure_ok,
     symmetry_checks,
 )
 
 small_coprime = st.sampled_from(coprime_pairs(10))
+
+
+def sign_structure_ok(params: KnotParams) -> bool:
+    """In the unnormalized numerator every a^j coefficient carries sign
+    (-1)^j.  That numerator is q^(-genus) times the sum of the display
+    summands t^area q^hplus prod (1 - a q^(-k)), and the normalized one is
+    a^genus q^(genus/2) t^(-genus/2) times it, so the normalized signs
+    alternate starting from + at a-degree genus."""
+    series = hhh_direct(params)
+    if series.dpow != 1:
+        raise RuntimeError(
+            f"unnormalized series of {params} is over (1-t)^{series.dpow}, not (1-t)"
+        )
+    return all((c > 0) == (ea % 2 == 0) for (ea, _, _), c in series.num.items())
 
 
 def both_sweeps(params):
@@ -92,6 +106,16 @@ class TestLeafRatios:
         assert report["all_monomial"] and report["pass"]
         assert not report["shares_global_monomial"]
         assert report["single_interval_prediction"] == "q^(-1/2)"
+        # one interval on n strands predicts (-1)^n q^((1-n)/2)
+        for (m, n), expected in (
+            ((1, 1), "-1"),
+            ((2, 3), "-q^-1"),
+            ((5, 3), "-q^-1"),
+            ((5, 4), "q^(-3/2)"),
+            ((4, 7), "-q^-3"),
+        ):
+            report = leaf_ratio_report(KnotParams(m, n), *both_sweeps(KnotParams(m, n)))
+            assert report["single_interval_prediction"] == expected, (m, n)
 
     def test_unknot_single_leaf(self):
         report = leaf_ratio_report(KnotParams(1, 1), *both_sweeps(KnotParams(1, 1)))
@@ -112,12 +136,12 @@ class TestSignStructure:
         assert sign_structure_ok(params)
 
     def test_flipped_signs_detected(self, monkeypatch):
-        series = khr.verify.hhh_direct(KnotParams(3, 2))
-        monkeypatch.setattr(khr.verify, "hhh_direct", lambda params: Invariant(-series.num, 1))
+        series = hhh_direct(KnotParams(3, 2))
+        monkeypatch.setitem(globals(), "hhh_direct", lambda params: Invariant(-series.num, 1))
         assert not sign_structure_ok(KnotParams(3, 2))
 
     def test_series_not_over_one_minus_t_raises(self, monkeypatch):
-        monkeypatch.setattr(khr.verify, "hhh_direct", lambda params: Invariant(ONE, 0))
+        monkeypatch.setitem(globals(), "hhh_direct", lambda params: Invariant(ONE, 0))
         with pytest.raises(RuntimeError, match="not \\(1-t\\)"):
             sign_structure_ok(KnotParams(3, 2))
 
