@@ -31,7 +31,7 @@ from .dyck import (
 )
 from .formula import euler_characteristic, hhh_direct, superpolynomial
 from .laurent import Invariant, invariant_from_json, invariant_to_json
-from .verify import _SUITES, report_lines, run_suite
+from .verify import _SUITES, catalan_check, report_lines, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -73,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--format", choices=FORMATS, default="text")
     compute.add_argument("--cache-dir", default=None)
     compute.add_argument("--max-leaves", type=_positive_int, default=DEFAULT_MAX_LEAVES)
+    compute.set_defaults(handler=_cmd_compute)
 
     paths = sub.add_parser("paths", help="list the (m, n) Dyck paths")
     paths.add_argument("m", type=_positive_int)
@@ -80,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     paths.add_argument("--with-stats", action="store_true")
     paths.add_argument("--format", choices=("text", "json"), default="text")
     paths.add_argument("--max-leaves", type=_positive_int, default=DEFAULT_MAX_LEAVES)
+    paths.set_defaults(handler=_cmd_paths)
 
     verify = sub.add_parser("verify", help="run the consistency suite")
     verify.add_argument("m", type=_positive_int, nargs="?")
@@ -98,16 +100,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--max-leaves", type=_positive_int, default=VERIFY_MAX_LEAVES)
+    verify.set_defaults(handler=_cmd_verify)
 
     catalan = sub.add_parser("catalan", help="print the Dyck-path count")
     catalan.add_argument("m", type=_positive_int)
     catalan.add_argument("n", type=_positive_int)
     catalan.add_argument("--check", action="store_true", help="compare with the a=0, q=t=1 specialization")
     catalan.add_argument("--format", choices=("text", "json"), default="text")
+    catalan.set_defaults(handler=_cmd_catalan)
 
     cache = sub.add_parser("cache", help="inspect or clear the result cache")
     cache.add_argument("action", choices=("info", "clear"))
     cache.add_argument("--cache-dir", default=None)
+    cache.set_defaults(handler=_cmd_cache)
 
     return parser
 
@@ -167,8 +172,32 @@ def cache_store(directory: Path, m: int, n: int, form: str, value: Invariant) ->
 # -- subcommands --------------------------------------------------------------
 
 
+def _path_count(params: KnotParams) -> int:
+    """rational_catalan(params), or a ValueError when that count is too long
+    to print: 10^L or more, L being Python's integer string conversion limit.
+
+    C(m+n, k) with k = min(m, n) is built one factor at a time, and the
+    partial products C(m+n-k+i, i) at least double at each step, so an
+    oversized count is refused after about 3.3 L steps, where math.comb
+    alone could run for minutes.
+    """
+    total = params.m + params.n
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    ceiling = 10**limit * total
+    k = min(params.m, params.n)
+    partial = 1
+    for i in range(1, k + 1):
+        partial = partial * (total - k + i) // i
+        if partial >= ceiling:
+            raise ValueError(
+                f"({params.m},{params.n}) has at least 10^{limit} Dyck paths, more than "
+                f"the {limit}-digit integer string limit; refusing to run"
+            )
+    return rational_catalan(params)
+
+
 def _guard_size(params: KnotParams, max_leaves: int) -> Optional[str]:
-    count = rational_catalan(params)
+    count = _path_count(params)
     if count > max_leaves:
         return (
             f"({params.m},{params.n}) has {count} Dyck paths, above the "
@@ -282,12 +311,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_catalan(args: argparse.Namespace) -> int:
     params = KnotParams(args.m, args.n)
-    count = rational_catalan(params)
+    count = _path_count(params)
     result: dict = {"m": args.m, "n": args.n, "paths": count}
     ok = True
     if args.check:
-        from .verify import catalan_check
-
         message = _guard_size(params, DEFAULT_MAX_LEAVES)
         if message:
             print(message, file=sys.stderr)
@@ -337,23 +364,13 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "paths":
-            return _cmd_paths(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "catalan":
-            return _cmd_catalan(args)
-        if args.command == "cache":
-            return _cmd_cache(args)
+        return args.handler(args)
     except LinksUnsupported as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LINKS
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError("unhandled command")
 
 
 def main() -> None:

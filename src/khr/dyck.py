@@ -14,7 +14,7 @@ used anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -163,7 +163,8 @@ def area(path: DyckPath) -> int:
 
 
 def interior_points(path: DyckPath) -> tuple[Point, ...]:
-    """Lattice points strictly between the path and the diagonal."""
+    """Lattice points strictly between the path and the diagonal; there
+    are area(path) of them, which is checked."""
     m, n = path.params.m, path.params.n
     out: list[Point] = []
     for y in range(n + 1):
@@ -171,6 +172,9 @@ def interior_points(path: DyckPath) -> tuple[Point, ...]:
         while n * x < m * y:
             out.append((x, y))
             x += 1
+    cells = area(path)
+    if cells != len(out):
+        raise ValueError(f"area {cells} differs from {len(out)} interior points")
     return tuple(out)
 
 
@@ -309,58 +313,26 @@ def k_of(path: DyckPath, p: Point) -> int:
     return k_values(path, (p,))[0]
 
 
-@dataclass(frozen=True)
-class PathStats:
-    """Full statistic bundle of one path."""
-
-    area: int
-    hplus: int
-    outer: tuple[Point, ...]
-    inner: tuple[Point, ...]
-    vstar: tuple[Point, ...]
-    interior: tuple[Point, ...]
-    opairs: int
-    kvals: dict[Point, int] = field(compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.outer) != len(self.inner) + 1:
-            raise ValueError(
-                f"{len(self.outer)} outer corners need {len(self.outer) - 1} inner ones, "
-                f"got {len(self.inner)}"
-            )
-        if self.area != len(self.interior):
-            raise ValueError(f"area {self.area} differs from {len(self.interior)} interior points")
-
-
-def path_stats(path: DyckPath) -> PathStats:
-    """Compute every statistic; k-values cover corners and interior points."""
+def stats_json(path: DyckPath) -> dict:
+    """Every statistic of path, as one `paths --with-stats` row; kvals
+    covers the corners and the interior points."""
     outer, inner = corners(path)
+    if len(outer) != len(inner) + 1:
+        raise ValueError(
+            f"{len(outer)} outer corners need {len(outer) - 1} inner ones, got {len(inner)}"
+        )
     top = most_distant(path.params, outer)
     interior = interior_points(path)
     points = (*outer, *inner, *interior)
     kvals = dict(zip(points, k_values(path, points)))
-    return PathStats(
-        area=area(path),
-        hplus=hplus(path),
-        outer=outer,
-        inner=inner,
-        vstar=tuple(v for v in outer if v != top),
-        interior=interior,
-        opairs=opairs(path),
-        kvals=kvals,
-    )
-
-
-def stats_json(path: DyckPath) -> dict:
-    stats = path_stats(path)
     return {
         "path": str(path),
-        "area": stats.area,
-        "hplus": stats.hplus,
-        "outer": [list(p) for p in stats.outer],
-        "inner": [list(p) for p in stats.inner],
-        "vstar": [list(p) for p in stats.vstar],
-        "interior": [list(p) for p in stats.interior],
-        "opairs": stats.opairs,
-        "kvals": {f"{x},{y}": k for (x, y), k in sorted(stats.kvals.items())},
+        "area": area(path),
+        "hplus": hplus(path),
+        "outer": [list(p) for p in outer],
+        "inner": [list(p) for p in inner],
+        "vstar": [list(p) for p in outer if p != top],
+        "interior": [list(p) for p in interior],
+        "opairs": opairs(path),
+        "kvals": {f"{x},{y}": k for (x, y), k in sorted(kvals.items())},
     }

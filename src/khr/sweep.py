@@ -40,6 +40,7 @@ from .dyck import (
     KnotParams,
     Point,
     corners,
+    distance,
     interior_points,
     k_values,
     most_distant,
@@ -105,30 +106,19 @@ class Coloring:
         return len(self.intervals)
 
 
-@dataclass(frozen=True)
-class Event:
-    p: Point
-    d: int
-
-
 def initial_coloring(params: KnotParams) -> Coloring:
     """The single interval from the origin's vertical line to the top row,
     whose sweep computes the (m, n) torus knot."""
     return Coloring(params, (Interval(0, params.n),))
 
 
-def event_list(params: KnotParams) -> list[Event]:
-    """Lattice points with 0 < d <= m*n inside the bounding rectangle,
-    ordered by d (no ties occur; the x tie-break is defensive)."""
+def event_list(params: KnotParams) -> list[Point]:
+    """Lattice points with 0 < d <= m*n inside the bounding rectangle, in
+    sweep order: by d, which no two of them share (checked)."""
     m, n = params.m, params.n
-    events = [
-        Event((x, y), m * y - n * x)
-        for x in range(m + 1)
-        for y in range(n + 1)
-        if 0 < m * y - n * x <= m * n
-    ]
-    events.sort(key=lambda e: (e.d, e.p[0]))
-    if len({e.d for e in events}) != len(events):
+    events = [(x, y) for x in range(m + 1) for y in range(n + 1) if 0 < m * y - n * x <= m * n]
+    events.sort(key=lambda p: distance(params, p))
+    if len({distance(params, p) for p in events}) != len(events):
         raise RuntimeError(f"event heights collide for ({m}, {n})")
     return events
 
@@ -367,7 +357,7 @@ def evaluate_profiles(
     while stack:
         i, state, weights, steps = stack.pop()
         while i < len(events):
-            p = events[i].p
+            p = events[i]
             i += 1
             successors = apply_rule(state, p)
             state, tag, k = successors[0]

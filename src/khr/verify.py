@@ -21,11 +21,14 @@ from typing import Optional
 
 from .dyck import (
     KnotParams,
+    corners,
     enumerate_paths,
-    path_stats,
+    interior_points,
+    k_values,
+    opairs,
     rational_catalan,
 )
-from .formula import genus, hhh_direct, hhh_terms, superpolynomial
+from .formula import genus, hhh_direct, hhh_terms, path_data, superpolynomial
 from .laurent import (
     A,
     ExponentTriple,
@@ -45,25 +48,31 @@ def identity_suite(params: KnotParams) -> dict:
     i2: unordered EN pairs - hplus = sum over interior of (k - 1)
     i3: hplus + sum of k over interior = genus
     i4: sum of k over inner corners = sum of k over trimmed outer corners
+
+    hplus and the trimmed outer corners' k come from the closed form's
+    path_data records; the rest is computed here.
     """
     g = genus(params)
     rows = []
-    for path in enumerate_paths(params):
-        stats = path_stats(path)
-        interior = len(stats.interior)
-        k_interior = sum(stats.kvals[p] for p in stats.interior)
-        k_inner = sum(stats.kvals[p] for p in stats.inner)
-        k_outer_trimmed = sum(stats.kvals[p] for p in stats.vstar)
+    for path, (_, hplus, ks) in zip(enumerate_paths(params), path_data(params), strict=True):
+        inner = corners(path)[1]
+        points = interior_points(path)
+        kvals = k_values(path, (*inner, *points))
+        interior = len(points)
+        k_inner = sum(kvals[: len(inner)])
+        k_interior = sum(kvals[len(inner) :])
+        k_outer_trimmed = sum(ks)
+        pairs = opairs(path)
         rows.append(
             {
                 "path": str(path),
-                "i1": interior + stats.opairs == g,
-                "i2": stats.opairs - stats.hplus == k_interior - interior,
-                "i3": stats.hplus + k_interior == g,
+                "i1": interior + pairs == g,
+                "i2": pairs - hplus == k_interior - interior,
+                "i3": hplus + k_interior == g,
                 "i4": k_inner == k_outer_trimmed,
                 "interior": interior,
-                "opairs": stats.opairs,
-                "hplus": stats.hplus,
+                "opairs": pairs,
+                "hplus": hplus,
                 "k_interior": k_interior,
                 "k_inner": k_inner,
                 "k_outer_trimmed": k_outer_trimmed,

@@ -36,7 +36,7 @@ def walk_branches(params, profiles):
     while stack:
         start, state, steps, weights = stack.pop()
         for i in range(start, len(events)):
-            p = events[i].p
+            p = events[i]
             successors = apply_rule(state, p)
             state, tag, k = successors[0]
             if tag is Rule.TERMINAL:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import khr.cli as cli
 import khr.verify
@@ -264,6 +265,37 @@ def _range_pairs(bound):
         for m in range(1, s):
             if math.gcd(m, s - m) == 1 and m >= s - m:
                 yield (m, s - m)
+
+
+class TestSizeGuard:
+    """A path count of 10^L or more, L being the integer string conversion
+    limit (4300 digits by default), is refused before it is computed."""
+
+    def test_unprintable_count_refused_fast(self, capsys):
+        for argv in (
+            ("compute", "3000000", "2999999"),
+            ("paths", "3000000", "2999999"),
+            ("verify", "3000000", "2999999"),
+            ("catalan", "3000000", "2999999"),
+            ("compute", "300000", "299999"),
+        ):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1, argv
+            assert code == 2 and not out, argv
+            assert "integer string limit; refusing" in err and "2999" in err, argv
+
+    def test_limit_boundary(self, capsys, monkeypatch):
+        # (7153,7152) has a 4300-digit count, (7154,7153) one of 4301 digits
+        code, out, _ = run(capsys, "catalan", "7153", "7152")
+        assert code == 0 and len(out.split()[1]) == 4300
+        code, out, err = run(capsys, "catalan", "7154", "7153")
+        assert code == 2 and not out
+        assert "at least 10^4300 Dyck paths" in err
+        # a limit switched off (0) falls back to the default
+        monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: 0)
+        code, _, err = run(capsys, "catalan", "7154", "7153")
+        assert code == 2 and "at least 10^4300 Dyck paths" in err
 
 
 class TestCatalanCommand:

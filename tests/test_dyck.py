@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import khr.dyck
 from khr.dyck import (
     DyckPath,
     KnotParams,
@@ -20,8 +21,6 @@ from khr.dyck import (
     most_distant,
     opairs,
     pass_through_points,
-    PathStats,
-    path_stats,
     rational_catalan,
     stats_json,
     vstar,
@@ -245,10 +244,10 @@ class TestInvariants:
             assert set(interior_points(p)) & on_path == set()
 
     def test_stats_bundle(self):
-        stats = path_stats(path(3, 2, "NENEE"))
-        assert stats.area == 0 and stats.hplus == 1 and stats.opairs == 1
-        assert stats.vstar == ((0, 1),)
-        assert stats.kvals[(1, 1)] == 1
+        data = stats_json(path(3, 2, "NENEE"))
+        assert data["area"] == 0 and data["hplus"] == 1 and data["opairs"] == 1
+        assert data["vstar"] == [[0, 1]]
+        assert data["kvals"]["1,1"] == 1
 
     def test_stats_json_shape(self):
         data = stats_json(path(3, 2, "NNEEE"))
@@ -316,20 +315,19 @@ class TestGuardsRaise:
         with pytest.raises(ValueError, match="not divisible"):
             rational_catalan(SimpleNamespace(m=2, n=2))
 
-    def test_path_stats_consistency(self):
-        good = path_stats(path(3, 2, "NENEE"))
-        fields = dict(
-            area=good.area,
-            hplus=good.hplus,
-            outer=good.outer,
-            inner=good.inner,
-            vstar=good.vstar,
-            interior=good.interior,
-            opairs=good.opairs,
-            kvals=good.kvals,
-        )
-        assert PathStats(**fields) == good
-        with pytest.raises(ValueError, match="inner"):
-            PathStats(**{**fields, "inner": ()})
-        with pytest.raises(ValueError, match="interior"):
-            PathStats(**{**fields, "area": 1})
+    def test_path_stats_consistency(self, monkeypatch):
+        p = path(3, 2, "NENEE")
+        good = stats_json(p)
+        assert len(good["outer"]) == len(good["inner"]) + 1
+        assert good["area"] == len(good["interior"])
+        outer, _ = corners(p)
+        with monkeypatch.context() as patch:
+            patch.setattr(khr.dyck, "corners", lambda path: (outer, ()))
+            with pytest.raises(ValueError, match="inner"):
+                stats_json(p)
+        with monkeypatch.context() as patch:
+            patch.setattr(khr.dyck, "area", lambda path: 1)
+            with pytest.raises(ValueError, match="interior"):
+                interior_points(p)
+            with pytest.raises(ValueError, match="interior"):
+                stats_json(p)

@@ -17,11 +17,10 @@ GUARDS = r"""
 import sys
 from types import SimpleNamespace
 
+import khr.dyck as dyck
 import khr.formula as formula
 import khr.sweep as sweep
-from khr.dyck import (
-    DyckPath, KnotParams, PathStats, hplus, k_of, path_stats, rational_catalan, vstar,
-)
+from khr.dyck import DyckPath, KnotParams, hplus, k_of, rational_catalan, vstar
 
 
 def link_params(m, n):
@@ -35,10 +34,23 @@ def link_path(m, n, word):
     return DyckPath.from_string(link_params(m, n), word)
 
 
-def stats_with(**changes):
-    s = path_stats(DyckPath.from_string(KnotParams(3, 2), "NENEE"))
-    fields = {f: getattr(s, f) for f in PathStats.__dataclass_fields__}
-    return PathStats(**{**fields, **changes})
+def patched(name, fake, call):
+    # trips a dyck guard by making one statistic lie, through the module
+    # global its caller looks up
+    original = getattr(dyck, name)
+    setattr(dyck, name, fake)
+    try:
+        call(DyckPath.from_string(KnotParams(3, 2), "NENEE"))
+    finally:
+        setattr(dyck, name, original)
+
+
+def missing_inner_corner():
+    patched("corners", lambda path: (((0, 1), (1, 2)), ()), dyck.stats_json)
+
+
+def wrong_area():
+    patched("area", lambda path: 1, dyck.interior_points)
 
 
 def rule_without_interval():
@@ -75,8 +87,8 @@ checks = [
     ("corner collision", lambda: vstar(link_path(3, 3, "NENENE"))),
     ("catalan divisibility", lambda: rational_catalan(SimpleNamespace(m=2, n=2))),
     ("genus parity", lambda: formula.genus(SimpleNamespace(m=2, n=2))),
-    ("corner count", lambda: stats_with(inner=())),
-    ("area", lambda: stats_with(area=1)),
+    ("corner count", missing_inner_corner),
+    ("area", wrong_area),
     ("event collision", lambda: sweep.event_list(link_params(2, 2))),
     ("rule without interval", rule_without_interval),
     ("tampered record", tampered_record),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import khr.sweep
-from khr.dyck import KnotParams, coprime_pairs, k_of, rational_catalan
+from khr.dyck import KnotParams, coprime_pairs, distance, k_of, rational_catalan
 from khr.laurent import A, Invariant, LaurentPoly, ONE, T, q_power
 from khr.sweep import (
     BranchRecord,
@@ -55,8 +55,8 @@ class TestStateTypes:
 
 class TestEvents:
     def test_32_events(self):
-        events = event_list(KnotParams(3, 2))
-        assert [(e.p, e.d) for e in events] == [
+        params = KnotParams(3, 2)
+        assert [(p, distance(params, p)) for p in event_list(params)] == [
             ((1, 1), 1),
             ((2, 2), 2),
             ((0, 1), 3),
@@ -65,17 +65,18 @@ class TestEvents:
         ]
 
     def test_11_events(self):
-        assert [(e.p, e.d) for e in event_list(KnotParams(1, 1))] == [((0, 1), 1)]
+        params = KnotParams(1, 1)
+        assert [(p, distance(params, p)) for p in event_list(params)] == [((0, 1), 1)]
 
     @given(small_coprime)
     def test_last_event_is_top_corner(self, params):
-        events = event_list(params)
-        assert events[-1].p == (0, params.n)
-        assert events[-1].d == params.m * params.n
+        last = event_list(params)[-1]
+        assert last == (0, params.n)
+        assert distance(params, last) == params.m * params.n
 
     @given(small_coprime)
     def test_heights_strictly_increase(self, params):
-        ds = [e.d for e in event_list(params)]
+        ds = [distance(params, p) for p in event_list(params)]
         assert all(a < b for a, b in zip(ds, ds[1:]))
 
 
@@ -233,10 +234,11 @@ class TestDeadIntervals:
             while stack:
                 start, state = stack.pop()
                 for i in range(start, len(events)):
-                    ev = events[i]
+                    p = events[i]
+                    d = distance(params, p)
                     for iv in state.intervals:
-                        assert contract_distance(iv, params) >= ev.d, (params, ev, state)
-                    successors = apply_rule(state, ev.p)
+                        assert contract_distance(iv, params) >= d, (params, p, state)
+                    successors = apply_rule(state, p)
                     state, tag, _ = successors[0]
                     if tag is Rule.TERMINAL:
                         leaves += 1

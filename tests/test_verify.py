@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import khr.verify
 from khr.dyck import KnotParams, coprime_pairs
-from khr.formula import hhh_direct
+from khr.formula import hhh_direct, path_data
 from khr.laurent import Invariant, ONE
 from khr.sweep import HHH_PROFILE, TORIC_PROFILE, evaluate, evaluate_profiles
 from khr.verify import (
@@ -56,6 +56,16 @@ class TestIdentitySuite:
     def test_unknot_row(self):
         (row,) = identity_suite(KnotParams(1, 1))["paths"]
         assert row["interior"] == 0 and row["opairs"] == 0 and row["i1"]
+
+    def test_reads_hplus_from_path_data(self, monkeypatch):
+        params = KnotParams(5, 3)
+        records = list(path_data(params))
+        area, hplus, ks = records[2]
+        records[2] = (area, hplus + 1, ks)
+        monkeypatch.setattr(khr.verify, "path_data", lambda p: tuple(records))
+        suite = identity_suite(params)
+        assert [row["i3"] for row in suite["paths"]] == [True, True, False, True, True, True, True]
+        assert not suite["pass"]
 
     @given(small_coprime)
     @settings(max_examples=40, deadline=None)
