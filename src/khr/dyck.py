@@ -135,12 +135,14 @@ class DyckPath:
         return 0 <= y <= self.params.n and x > self.row_span(y)[1]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def enumerate_paths(params: KnotParams) -> tuple[DyckPath, ...]:
     """All (m, n)-Dyck paths, ordered by columns (the N < E word order).
 
     Row y's N step can sit at any x from row y-1's column up to the last
     one not below the diagonal, floor(m*y/n); row 0's is at x = 0.
+    The closed form walks the rows itself (formula.records), so the callers
+    here work one knot at a time and the cache keeps only a few knots.
     """
     m, n = params.m, params.n
     prefixes: list[tuple[int, ...]] = [(0,)]

@@ -13,7 +13,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .dyck import DyckPath, KnotParams, area, enumerate_paths, hplus, k_values, vstar
+from .dyck import DyckPath, KnotParams, area, hplus, k_values, vstar
 from .laurent import Invariant, LaurentPoly
 
 # (area, hplus, k over the trimmed outer corners in ascending order): all a
@@ -40,14 +40,86 @@ def normalization(params: KnotParams) -> LaurentPoly:
 
 
 def path_record(path: DyckPath) -> PathRecord:
-    """The statistics a path's summand is built from."""
+    """The statistics a path's summand is built from: the per-path
+    reference that records() is tested against."""
     return area(path), hplus(path), tuple(sorted(k_values(path, vstar(path))))
+
+
+def records(params: KnotParams) -> Iterator[PathRecord]:
+    """path_record of every path of params, in enumeration order, from one
+    depth-first walk over rows that builds no DyckPath.
+
+    A stack entry is a prefix of rows 0 .. y: its last column x, its area,
+    its hplus, the top offsets of its E and N steps as bit sets (as in
+    dyck.hplus and dyck.k_values), and its outer corners so far, each with
+    its offset, plus those offsets as a bit set.  Expanding a prefix steps
+    each child row y+1 at column nx, high nx first, so that prefixes pop in
+    enumeration order.  The row's E steps from x to nx top out at d + n,
+    d + 2n, .., d + n(nx - x), with d = m*(y+1) - n*nx, and row y's N step
+    ends in an outer corner iff nx > x.  At a leaf the final row's E steps
+    and the last corner (x, n) complete the path.  The guards are those of
+    dyck.hplus, dyck.most_distant and dyck.k_values, with their messages.
+    """
+    m, n = params.m, params.n
+    last = n - 1
+    # stride[j]: the top offsets n, 2n, .., jn of j E steps ending at offset 0
+    stride = [0]
+    for j in range(1, m + 1):
+        stride.append(stride[-1] | 1 << (n * j))
+    window = (1 << (m + n - 1)) - 1
+    contact = 1 | 1 << (m + n)
+    n_window = (1 << (m - 1)) - 1
+    e_window = (1 << (n - 1)) - 1
+    # row 0: the N step from the origin, which tops out at offset m
+    stack = [(0, 0, 0, 0, 0, 1 << m, (), 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        y, x, area_, hplus_, e_tops, n_tops, outer, corner_bits = pop()
+        if y < last:
+            y += 1
+            my = m * y
+            top = my // n
+            corner = my - n * x
+            for nx in range(top, x - 1, -1):
+                d = my - n * nx
+                e = e_tops | stride[nx - x] << d
+                s = e >> d
+                if s & contact:
+                    raise RuntimeError("degenerate offset-interval contact")
+                o, o_bits = outer, corner_bits
+                if nx > x:
+                    o += ((corner, (x, y)),)
+                    o_bits |= 1 << corner
+                h = hplus_ + ((s >> 1) & window).bit_count()
+                push((y, nx, area_ + top - nx, h, e, n_tops | 1 << (d + m), o, o_bits))
+            continue
+        corner = m * n - n * x
+        outer += ((corner, (x, n)),)
+        # corners at equal offsets share a bit
+        if (corner_bits | 1 << corner).bit_count() != len(outer):
+            raise RuntimeError(f"corner distances collide: {[dp for dp, _ in outer]}")
+        e_tops |= stride[m - x]
+        top = max(outer)[0]
+        ks = []
+        for dp, p in outer:
+            if dp == top:
+                continue
+            vertical = ((n_tops >> (dp + 1)) & n_window).bit_count()
+            horizontal = ((e_tops >> (dp + 1)) & e_window).bit_count()
+            if vertical != horizontal:
+                raise ValueError(
+                    f"crossing counts at {p} disagree ({vertical} vertical, {horizontal} "
+                    "horizontal): the point must be an interior point or a corner"
+                )
+            ks.append(vertical)
+        ks.sort()
+        yield area_, hplus_, tuple(ks)
 
 
 @lru_cache(maxsize=8)
 def path_data(params: KnotParams) -> tuple[PathRecord, ...]:
-    """path_record of every path of params, in enumeration order."""
-    return tuple(path_record(p) for p in enumerate_paths(params))
+    """records(params) as a tuple, aligned with enumerate_paths(params)."""
+    return tuple(records(params))
 
 
 def hhh_corner_product(ks: Iterable[int]) -> CornerProduct:
@@ -132,8 +204,12 @@ def hhh_terms(params: KnotParams) -> Iterator[LaurentPoly]:
 
 @lru_cache(maxsize=32)
 def hhh_direct(params: KnotParams) -> Invariant:
-    """The unnormalized series: sum of the summands over (1 - t)."""
-    return Invariant(_assemble(path_data(params), genus(params)), 1)
+    """The unnormalized series: sum of the summands over (1 - t).
+
+    The walk's records go straight into _assemble's Counter, so only the
+    distinct records are held.
+    """
+    return Invariant(_assemble(records(params), genus(params)), 1)
 
 
 def superpolynomial(params: KnotParams) -> Invariant:

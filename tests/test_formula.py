@@ -1,3 +1,4 @@
+import re
 from functools import reduce
 from types import SimpleNamespace
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from khr.dyck import DyckPath, KnotParams, coprime_pairs, enumerate_paths
 from khr.formula import (
+    _assemble,
     euler_characteristic,
     genus,
     hhh_corner_product,
@@ -16,6 +18,7 @@ from khr.formula import (
     path_data,
     path_record,
     path_summand,
+    records,
     superpolynomial,
 )
 from khr.laurent import A, Invariant, LaurentPoly, ONE, T, ZERO, q_power
@@ -27,6 +30,14 @@ small_coprime = st.sampled_from(coprime_pairs(10))
 
 def path(m, n, word):
     return DyckPath.from_string(KnotParams(m, n), word)
+
+
+def link_params(m, n):
+    # gcd(m, n) > 1 gets past KnotParams' check only this way
+    params = object.__new__(KnotParams)
+    object.__setattr__(params, "m", m)
+    object.__setattr__(params, "n", n)
+    return params
 
 
 class TestNormalization:
@@ -141,20 +152,59 @@ class TestPathData:
         assert path_data(params) == tuple(path_record(p) for p in paths)
         assert list(hhh_terms(params)) == [hhh_path_term(p) for p in paths]
 
+    def test_walk_matches_per_path_records(self):
+        # the walk against the per-path reference, record by record, and
+        # hhh_direct against the sum of the reference records
+        for params in coprime_pairs(16):
+            expected = tuple(path_record(p) for p in enumerate_paths(params))
+            assert tuple(records(params)) == expected, params
+            assert hhh_direct(params) == Invariant(_assemble(expected, genus(params)), 1)
+
+    @pytest.mark.parametrize(
+        "m, n, error, text",
+        [
+            (2, 2, RuntimeError, "corner distances collide: [2, 2]"),
+            (3, 3, RuntimeError, "degenerate offset-interval contact"),
+            (4, 2, ValueError, "crossing counts at (0, 1) disagree (1 vertical, 0 horizontal)"),
+        ],
+    )
+    def test_walk_guards(self, m, n, error, text):
+        # links (gcd > 1) put lattice points on shared diagonals, which
+        # trips each of the walk's guards
+        with pytest.raises(error, match=re.escape(text)):
+            tuple(records(link_params(m, n)))
+
     def test_record_shape(self):
         # NENEE: hplus 1, area 0, one trimmed corner (0, 1) with k = 1
         assert path_record(path(3, 2, "NENEE")) == (0, 1, (1,))
         assert path_record(path(3, 2, "NNEEE")) == (1, 0, ())
 
 
+class TestComputePath:
+    def test_builds_no_dyck_path(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"built {self.columns}")
+
+        params = KnotParams(9, 5)
+        for cache in (enumerate_paths, path_data, hhh_direct):
+            cache.cache_clear()
+        monkeypatch.setattr(DyckPath, "__post_init__", refuse)
+        hhh_direct(params)
+        euler_characteristic(superpolynomial(params))
+        assert enumerate_paths.cache_info().misses == 0
+        assert path_data.cache_info().currsize == 0
+
+
 class TestBoundedCaches:
     def test_currsize_stays_within_maxsize(self):
-        caches = (path_data, hhh_direct)
+        caches = (enumerate_paths, path_data, hhh_direct)
         bound = max(cache.cache_info().maxsize for cache in caches)
         knots = coprime_pairs(12)
         assert len(knots) > bound
         for params in knots:
             superpolynomial(params)
+            path_data(params)
+            enumerate_paths(params)
             for cache in caches:
                 info = cache.cache_info()
                 assert info.maxsize is not None

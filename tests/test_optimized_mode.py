@@ -80,6 +80,16 @@ def wrong_leaf_count():
         sweep.rational_catalan = catalan
 
 
+def walk_guard(m, n, text):
+    # the record walk over a link must trip the guard whose message holds text
+    try:
+        tuple(formula.records(link_params(m, n)))
+    except (ValueError, RuntimeError) as exc:
+        if text not in str(exc):
+            raise LookupError(f"another guard tripped: {exc}") from exc
+        raise
+
+
 checks = [
     ("path below diagonal", lambda: DyckPath(KnotParams(3, 2), (0, 2))),
     ("k agreement", lambda: k_of(DyckPath.from_string(KnotParams(3, 2), "NNEEE"), (0, 1))),
@@ -93,6 +103,9 @@ checks = [
     ("rule without interval", rule_without_interval),
     ("tampered record", tampered_record),
     ("leaf count", wrong_leaf_count),
+    ("walk corner collision", lambda: walk_guard(2, 2, "collide")),
+    ("walk degenerate contact", lambda: walk_guard(3, 3, "degenerate")),
+    ("walk k agreement", lambda: walk_guard(4, 2, "disagree")),
 ]
 print("optimize", sys.flags.optimize)
 for name, check in checks:
@@ -139,6 +152,9 @@ def test_guards_raise_under_optimize():
         "rule without interval RuntimeError",
         "tampered record RuntimeError",
         "leaf count RuntimeError",
+        "walk corner collision RuntimeError",
+        "walk degenerate contact RuntimeError",
+        "walk k agreement ValueError",
     ]
 
 
