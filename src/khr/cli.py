@@ -6,8 +6,9 @@ refused oversized run), 3 unsupported torus-link input.
 Results of `compute` can be cached as JSON files under a directory given by
 --cache-dir or the KHR_CACHE_DIR environment variable; the key embeds the
 package version, so a version bump invalidates every entry.  A cache file
-that fails to parse or to round-trip is discarded with a warning and
-recomputed.
+that fails to read, to parse or to round-trip is discarded with a warning and
+recomputed, and a store that fails is reported with a warning: the cache is
+best-effort and never changes a result or an exit code.
 """
 
 from __future__ import annotations
@@ -148,25 +149,27 @@ def cache_load(directory: Path, m: int, n: int, form: str) -> Optional[Invariant
         value = invariant_from_json(payload["invariant"])
         if payload != _cache_payload(m, n, form, value):
             raise ValueError("stored payload does not round-trip")
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"warning: discarding corrupt cache file {path}: {exc}", file=sys.stderr)
         return None
     return value
 
 
 def cache_store(directory: Path, m: int, n: int, form: str, value: Invariant) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
     path = _cache_path(directory, m, n, form)
     payload = json.dumps(_cache_payload(m, n, form, value), sort_keys=True, indent=1)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        print(f"warning: could not store cache file {path}: {exc}", file=sys.stderr)
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 # -- subcommands --------------------------------------------------------------

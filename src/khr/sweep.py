@@ -25,15 +25,15 @@ profile and ends when the last interval contracts, contributing the
 profile's base value.  One leaf arises per (m, n)-Dyck path: the region the
 chosen intervals sweep is bounded by that path, and the branch's rule steps
 are reconstructed into the path and validated against its statistics; the
-leaf keeps only that path and its value.  The tree does not depend on the
-weights, so one traversal serves several profiles.
+leaf keeps only that path and its numerator.  The tree does not depend on
+the weights, so one traversal serves several profiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .dyck import (
     DyckPath,
@@ -66,50 +66,15 @@ class Rule(str, Enum):
     TERMINAL = "Terminal"
 
 
-@dataclass(frozen=True)
-class Interval:
-    """One interval: start on vertical line x = start_col, end on horizontal
-    line y = end_row."""
-
-    start_col: int
-    end_row: int
-
-
-def contract_distance(interval: Interval, params: KnotParams) -> int:
-    """Scaled height at which the interval shrinks to a point."""
-    return params.m * interval.end_row - params.n * interval.start_col
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """Ordered disjoint intervals; starts and ends both strictly increase."""
-
-    params: KnotParams
-    intervals: tuple[Interval, ...]
-
-    def __post_init__(self) -> None:
-        m, n = self.params.m, self.params.n
-        prev: Interval | None = None
-        for iv in self.intervals:
-            if not 0 <= iv.start_col < m:
-                raise ValueError(f"start column {iv.start_col} out of range for m={m}")
-            if not (0 < iv.end_row <= n):
-                raise ValueError(f"end row {iv.end_row} out of range for n={n}")
-            if prev is not None and not (
-                prev.start_col < iv.start_col and prev.end_row < iv.end_row
-            ):
-                raise ValueError("intervals out of order or overlapping")
-            prev = iv
-
-    @property
-    def k(self) -> int:
-        return len(self.intervals)
+# A state: the intervals as (start_col, end_row) pairs, starts and ends both
+# strictly increasing.
+Coloring = tuple[tuple[int, int], ...]
 
 
 def initial_coloring(params: KnotParams) -> Coloring:
     """The single interval from the origin's vertical line to the top row,
     whose sweep computes the (m, n) torus knot."""
-    return Coloring(params, (Interval(0, params.n),))
+    return ((0, params.n),)
 
 
 def event_list(params: KnotParams) -> list[Point]:
@@ -131,8 +96,7 @@ def classify(state: Coloring, p: Point) -> tuple[Rule, int | None]:
     """
     x, y = p
     found: tuple[Rule, int] | None = None
-    for i, iv in enumerate(state.intervals):
-        a, b = iv.start_col, iv.end_row
+    for i, (a, b) in enumerate(state):
         if a == x and b == y:
             rule = Rule.CONTRACT
         elif a == x and b > y:
@@ -172,18 +136,16 @@ def apply_rule(state: Coloring, p: Point) -> tuple[Successor, ...]:
         return ((state, Rule.NOOP, None),)
     if idx is None:
         raise RuntimeError(f"rule {rule} fires at {p} on no interval")
-    k = state.k
+    k = len(state)
     if rule is Rule.START_PASS or rule is Rule.END_PASS:
         return ((state, rule, k),)
-    intervals = state.intervals
-    before, after = intervals[:idx], intervals[idx + 1 :]
+    before, after = state[:idx], state[idx + 1 :]
     if rule is Rule.CONTRACT:
-        rest = Coloring(state.params, before + after)
+        rest = before + after
         return ((rest, Rule.TERMINAL, None),) if k == 1 else ((rest, Rule.CONTRACT, k - 1),)
-    iv = intervals[idx]
-    halves = (Interval(iv.start_col, p[1]), Interval(p[0], iv.end_row))
+    start, end = state[idx]
     return (
-        (Coloring(state.params, before + halves + after), Rule.SPLIT, k),
+        (before + ((start, p[1]), (p[0], end)) + after, Rule.SPLIT, k),
         (state, Rule.KEEP, k),
     )
 
@@ -234,24 +196,12 @@ TORIC_PROFILE = WeightProfile(
 )
 
 
-@dataclass
-class BranchRecord:
-    """Rule steps of one finished branch, keyed by event point.
+class Leaf(NamedTuple):
+    """One branch's Dyck path and its value's numerator: the value is
+    num / (1 - t)^dpow, dpow being its SweepResult's."""
 
-    steps maps every non-NoOp, non-terminal event to the tag and interval
-    count of the successor the branch took there; terminal is the point
-    whose contraction ended the branch.  Events after the terminal never
-    interact with anything and are omitted.
-    """
-
-    steps: dict[Point, tuple[Rule, int]]
-    terminal: Point
-
-
-@dataclass
-class Leaf:
     path: DyckPath
-    value: Invariant
+    num: LaurentPoly
 
 
 @dataclass
@@ -259,11 +209,19 @@ class SweepResult:
     params: KnotParams
     profile: str
     total: Invariant
+    dpow: int  # the base's (1 - t) power, shared by every leaf
     leaves: list[Leaf]
 
 
-def reconstruct_path(record: BranchRecord, params: KnotParams) -> DyckPath:
-    """The Dyck path bounding the region this branch's intervals swept.
+def reconstruct_path(
+    steps: Mapping[Point, tuple[Rule, int]], terminal: Point, params: KnotParams
+) -> DyckPath:
+    """The Dyck path bounding the region one branch's intervals swept.
+
+    steps maps every non-NoOp, non-terminal event of the branch to the tag
+    and interval count of the successor it took there; terminal is the
+    point whose contraction ended it.  Events after the terminal never
+    interact with anything and are omitted.
 
     The Keep points are exactly the lattice points strictly between the
     path and the diagonal, which pins down the vertical step of every row;
@@ -274,7 +232,7 @@ def reconstruct_path(record: BranchRecord, params: KnotParams) -> DyckPath:
     """
     m, n = params.m, params.n
     by_rule: dict[Rule, set[Point]] = {}
-    for p, (tag, _) in record.steps.items():
+    for p, (tag, _) in steps.items():
         by_rule.setdefault(tag, set()).add(p)
     keeps = by_rule.get(Rule.KEEP, set())
 
@@ -308,15 +266,15 @@ def reconstruct_path(record: BranchRecord, params: KnotParams) -> DyckPath:
                 f"{rule.value} tags {sorted(got)} do not match the path "
                 f"{path}: expected {sorted(points)}"
             )
-    if record.terminal != top:
+    if terminal != top:
         raise RuntimeError(
-            f"terminal {record.terminal} is not the most distant corner {top} of {path}"
+            f"terminal {terminal} is not the most distant corner {top} of {path}"
         )
     weighted = tuple(
-        p for p, (tag, _) in record.steps.items() if tag in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT)
+        p for p, (tag, _) in steps.items() if tag in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT)
     )
     for p, expected_k in zip(weighted, k_values(path, weighted)):
-        tag, k = record.steps[p]
+        tag, k = steps[p]
         if k != expected_k:
             raise RuntimeError(
                 f"{tag.value} at {p} used k={k} but the path {path} has k={expected_k}"
@@ -333,13 +291,13 @@ def evaluate_profiles(
     it, the branch continues with the first successor, a second one (Keep)
     is pushed for later, and Terminal ends the branch.  The branch tree
     does not depend on the weights, so each leaf is reconstructed into its
-    Dyck path and validated once; its record is then dropped, and every
+    Dyck path and validated once; its steps are then dropped, and every
     profile's leaf shares that path.  The leaf lists come back sorted by
     path (N before E), and the leaf count is checked against the rational
     Catalan number.  Each rule's weights are looked up once per interval
-    count.  Every leaf numerator sits over its base's (1 - t) power, so
-    each total is one sum of those numerators, normalized once; each leaf
-    also keeps its own normalized value.
+    count.  Every leaf numerator sits over its base's (1 - t) power, which
+    the result stores once as dpow, so each total is one sum of those
+    numerators, normalized once; a leaf keeps its numerator as it is.
     """
     events = event_list(params)
     factors: dict[tuple[Rule, int], tuple[LaurentPoly, ...]] = {}
@@ -364,7 +322,7 @@ def evaluate_profiles(
             if tag is Rule.NOOP:
                 continue
             if tag is Rule.TERMINAL:
-                found.append((reconstruct_path(BranchRecord(steps, p), params), weights))
+                found.append((reconstruct_path(steps, p, params), weights))
                 break
             for other, other_tag, other_k in successors[1:]:
                 stack.append(
@@ -384,13 +342,9 @@ def evaluate_profiles(
     results = []
     for j, profile in enumerate(profiles):
         base = profile.base
-        numerators = [weights[j] * base.num for _, weights in found]
-        leaves = [
-            Leaf(path, Invariant(num, base.dpow))
-            for (path, _), num in zip(found, numerators)
-        ]
-        total = Invariant(poly_sum(numerators), base.dpow)
-        results.append(SweepResult(params, profile.name, total, leaves))
+        leaves = [Leaf(path, weights[j] * base.num) for path, weights in found]
+        total = Invariant(poly_sum([leaf.num for leaf in leaves]), base.dpow)
+        results.append(SweepResult(params, profile.name, total, base.dpow, leaves))
     return tuple(results)
 
 

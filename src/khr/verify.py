@@ -88,13 +88,15 @@ def cross_check(params: KnotParams, hhh: SweepResult) -> dict:
     total_match = hhh.total == hhh_direct(params)
     leaf_count = len(hhh.leaves)
     expected_leaf_count = rational_catalan(params)
-    by_path = {leaf.path: leaf.value for leaf in hhh.leaves}
+    by_path = {leaf.path: leaf.num for leaf in hhh.leaves}
     mismatches = []
     for path, term in zip(enumerate_paths(params), hhh_terms(params), strict=True):
-        # a summand is nonzero at t = 1, so term / (1 - t) is already normal
+        # each leaf is term / (1 - t): compare numerators, and normalize
+        # only to print a mismatch
         got = by_path.get(path)
-        if got is None or got.dpow != 1 or got.num != term:
-            mismatches.append(f"{path}: sweep {got}, closed form {Invariant(term, 1)}")
+        if got is None or hhh.dpow != 1 or got != term:
+            sweep = None if got is None else Invariant(got, hhh.dpow)
+            mismatches.append(f"{path}: sweep {sweep}, closed form {Invariant(term, 1)}")
     return {
         "pass": total_match and not mismatches and leaf_count == expected_leaf_count,
         "total_match": total_match,
@@ -135,17 +137,16 @@ def leaf_ratio_report(params: KnotParams, hhh: SweepResult, toric: SweepResult) 
     times its HHH sweep (hhh).  Each ratio must be a signed monomial;
     whether all leaves share a single monomial is reported but never
     required."""
+    # every leaf is x / (1-t)^d with the HHH side at d = 1 and the scalar
+    # side at d = 0, so (1-a)(1-t) * HHH leaf is polynomial
+    if hhh.dpow != 1 or toric.dpow != 0:
+        raise RuntimeError(f"the leaves of {params} are not polynomial")
     one_minus_a = ONE - A
     leaves = []
     for h_leaf, t_leaf in zip(hhh.leaves, toric.leaves):
         if h_leaf.path != t_leaf.path:
             raise RuntimeError(f"leaf paths differ: {h_leaf.path} vs {t_leaf.path}")
-        # both leaves are x / (1-t)^d with the HHH side at d = 1 and the
-        # scalar side at d = 0, so (1-a)(1-t) * HHH leaf is polynomial
-        h, t = h_leaf.value, t_leaf.value
-        if h.dpow != 1 or t.dpow != 0:
-            raise RuntimeError(f"leaf {h_leaf.path} of {params} is not polynomial")
-        ratio = monomial_ratio(t.num, one_minus_a * h.num)
+        ratio = monomial_ratio(t_leaf.num, one_minus_a * h_leaf.num)
         leaves.append(
             {
                 "path": str(h_leaf.path),

@@ -1,7 +1,7 @@
 """A reference walk over the sweep's branch tree, built on the public
 apply_rule stepper.
 
-evaluate_profiles keeps only each leaf's path and value; the tests that
+evaluate_profiles keeps only each leaf's path and numerator; the tests that
 check the rule steps and interval counts along a branch read them from this
 walk instead.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from khr.laurent import ONE
 from khr.sweep import (
-    BranchRecord,
     Rule,
     apply_rule,
     event_list,
@@ -22,9 +21,10 @@ from khr.sweep import (
 def walk_branches(params, profiles):
     """Every branch of the sweep of params, in the order the walk finishes them.
 
-    Each item is (record, values): the branch's BranchRecord, and per
-    profile the product of its weights over the branch's successors times
-    its base value.
+    Each item is (steps, terminal, nums): the branch's {point: (tag, k)}
+    rule steps, the point whose contraction ended it, and per profile the
+    product of its weights over the branch's successors times its base
+    numerator.
     """
     events = event_list(params)
     out = []
@@ -40,8 +40,8 @@ def walk_branches(params, profiles):
             successors = apply_rule(state, p)
             state, tag, k = successors[0]
             if tag is Rule.TERMINAL:
-                values = tuple(prof.base * w for w, prof in zip(weights, profiles))
-                out.append((BranchRecord(steps, p), values))
+                nums = tuple(w * prof.base.num for w, prof in zip(weights, profiles))
+                out.append((steps, p, nums))
                 break
             if len(successors) == 2:
                 keep_state, keep_tag, keep_k = successors[1]
@@ -58,8 +58,8 @@ def walk_branches(params, profiles):
 
 
 def branches_by_path(params, profiles):
-    """walk_branches keyed by the word of each record's reconstructed path."""
+    """walk_branches keyed by the word of each branch's reconstructed path."""
     return {
-        str(reconstruct_path(record, params)): (record, values)
-        for record, values in walk_branches(params, profiles)
+        str(reconstruct_path(steps, terminal, params)): (steps, terminal, nums)
+        for steps, terminal, nums in walk_branches(params, profiles)
     }

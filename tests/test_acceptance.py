@@ -129,10 +129,10 @@ def test_criterion_05_sweep_statistics_coherence():
         seen = set()
         for leaf in result.leaves:
             seen.add(str(leaf.path))
-            record, (value,) = branches[str(leaf.path)]
-            if value != leaf.value:
+            steps, _, (num,) = branches[str(leaf.path)]
+            if num != leaf.num:
                 failures.append((params.m, params.n, str(leaf.path), "leaf value"))
-            for p, (tag, k) in record.steps.items():
+            for p, (tag, k) in steps.items():
                 if tag in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT):
                     if k != k_of(leaf.path, p):
                         failures.append((params.m, params.n, str(leaf.path), p))

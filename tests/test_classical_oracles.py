@@ -23,12 +23,22 @@ g = (m-1)(n-1)/2:
   [N, k] = q^-k [N-1, k] + q^(N-k) [N-1, k-1]: twist times quantum
   dimension of each hook (m-b, 1^b), with the denominators cleared.
 
+* rational Narayana (Armstrong-Rhoades-Williams 2013): at q = t = 1 the
+  unnormalized numerator is sum_j N(m, n; j) (1-a)^(j-1) over j = 1 ..
+  min(m, n), where N(m, n; j) = C(m-1, j-1) C(n-1, j-1) / j counts the
+  paths with j outer corners; both sides are compared times m, which makes
+  every term an integer: m N(m, n; j) = C(m, j) C(n-1, j-1).  This one
+  substitutes nothing into q or t, and pins the a-structure that the
+  corner products carry.
+
 The arithmetic here is plain integer lists and {(a, q) exponent:
 coefficient} dicts, independent of the package's polynomial type.  All
 three identities read only q2 - t2, so an error that moves weight between
 the q- and t-exponents by equal amounts passes them; the q <-> t symmetry
 check covers part of that gap.
 """
+
+from math import comb
 
 from khr.dyck import coprime_pairs
 from khr.formula import hhh_direct, superpolynomial
@@ -181,6 +191,24 @@ def homflypt_numerator_side(numerator, m):
     return star
 
 
+def narayana_side(m, n):
+    """m sum_j N(m, n; j) (1-a)^(j-1) as {a-exponent: coefficient}."""
+    out = {}
+    for j in range(1, min(m, n) + 1):
+        weight = comb(m, j) * comb(n - 1, j - 1)
+        for i in range(j):
+            out[i] = out.get(i, 0) + weight * comb(j - 1, i) * (-1) ** i
+    return {e: c for e, c in out.items() if c}
+
+
+def at_q_t_one(numerator, scale=1):
+    """scale times the numerator at q = t = 1, as {a-exponent: coefficient}."""
+    out = {}
+    for (ea, _, _), c in numerator.items():
+        out[ea] = out.get(ea, 0) + scale * c
+    return {e: c for e, c in out.items() if c}
+
+
 def test_helpers_on_small_cases():
     # the trefoil's Alexander polynomial and the (3,2) q-Catalan number
     assert alexander(3, 2) == [1, -1, 1]
@@ -192,6 +220,9 @@ def test_helpers_on_small_cases():
     # the unknot: both sides are 1
     assert homflypt_hook_sum(1, 1) == {(0, 0): 1}
     assert homflypt_numerator_side({(0, 0, 0): 1}, 1) == {(0, 0): 1}
+    # the trefoil: 3 (N(3,2;1) + N(3,2;2) (1-a)) = 3 (2 - a)
+    assert narayana_side(3, 2) == {0: 6, 1: -3}
+    assert at_q_t_one({(0, -2, 2): 1, (0, 0, 0): 1, (1, -2, 0): -1}, scale=3) == {0: 6, 1: -3}
 
 
 def test_alexander_polynomial():
@@ -228,5 +259,17 @@ def test_homflypt_at_qt_one():
         if value.dpow != 1:
             failures.append((m, n, f"over (1-t)^{value.dpow}"))
         elif homflypt_numerator_side(value.num, m) != homflypt_hook_sum(m, n):
+            failures.append((m, n))
+    assert failures == []
+
+
+def test_rational_narayana_at_q_t_one():
+    failures = []
+    for params in coprime_pairs(MAX_SUM):
+        m, n = params.m, params.n
+        value = hhh_direct(params)
+        if value.dpow != 1:
+            failures.append((m, n, f"over (1-t)^{value.dpow}"))
+        elif at_q_t_one(value.num, scale=m) != narayana_side(m, n):
             failures.append((m, n))
     assert failures == []

@@ -111,6 +111,29 @@ class TestCache:
         assert code == 0 and "removed 1 entries and 1 temporary files" in out
         assert not list(tmp_path.iterdir())
 
+    def test_unreadable_entry_recomputed_with_warning(self, capsys, tmp_path):
+        # a directory where the entry should be: reading and storing both
+        # fail, and neither changes the printed result or the exit code
+        (tmp_path / f"compute_7_5_P_v{cli.CACHE_VERSION}.json").mkdir()
+        code, out, err = run(capsys, "compute", "7", "5", "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert out == run(capsys, "compute", "7", "5")[1]
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("warning: discarding corrupt cache file")
+        assert lines[1].startswith("warning: could not store cache file")
+        assert [entry.name for entry in tmp_path.iterdir()] == [f"compute_7_5_P_v{cli.CACHE_VERSION}.json"]
+
+    def test_file_as_cache_directory_warns_once(self, capsys, tmp_path):
+        blocker = tmp_path / "F"
+        blocker.touch()
+        code, out, err = run(capsys, "compute", "7", "5", "--cache-dir", str(blocker))
+        assert code == 0
+        assert out == run(capsys, "compute", "7", "5")[1]
+        assert err.startswith("warning: could not store cache file")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == ""
+
     def test_cache_without_directory_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv(cli.CACHE_ENV, raising=False)
         assert run(capsys, "cache", "info")[0] == 2

@@ -295,6 +295,61 @@ class TestRewrittenStatistics:
             k_values(path(3, 2, "NENEE"), ((0, 1), (0, 2)))  # (0, 2) is above
 
 
+def sweep_map(m, n, word):
+    """zeta(word): the steps of word listed by the level m*y - n*x of their
+    start, lowest first (Armstrong-Loehr-Warrington)."""
+    x = y = 0
+    labelled = []
+    for step in word:
+        labelled.append((m * y - n * x, step))
+        if step == "N":
+            y += 1
+        else:
+            x += 1
+    return "".join(step for _, step in sorted(labelled))
+
+
+def cells_under_diagonal(m, n, word):
+    """Full cells between word and the diagonal: in each row, the cells
+    right of its N step whose lower-right corner is not below the diagonal."""
+    x = y = 0
+    count = 0
+    for step in word:
+        if step == "N":
+            cell = x
+            while n * (cell + 1) <= m * y:
+                count += 1
+                cell += 1
+            y += 1
+        else:
+            x += 1
+    return count
+
+
+class TestSweepMap:
+    """hplus is the area of the sweep map's image (Armstrong-Loehr-Warrington;
+    bijectivity by Thomas-Williams), with the area counted here cell by cell."""
+
+    def test_helpers_on_trefoil(self):
+        assert sweep_map(3, 2, "NNEEE") == "NENEE"
+        assert sweep_map(3, 2, "NENEE") == "NNEEE"
+        assert cells_under_diagonal(3, 2, "NENEE") == 0
+        assert cells_under_diagonal(3, 2, "NNEEE") == 1
+
+    def test_area_of_image_is_hplus(self):
+        checked = 0
+        for params in coprime_pairs(15):
+            m, n = params.m, params.n
+            paths = enumerate_paths(params)
+            words = [str(p) for p in paths]
+            images = [sweep_map(m, n, word) for word in words]
+            assert sorted(images) == sorted(words), params
+            for p, word, image in zip(paths, words, images):
+                assert cells_under_diagonal(m, n, image) == hplus(p), word
+            checked += len(paths)
+        assert checked == 2457
+
+
 class TestGuardsRaise:
     """Checks that must raise, not assert, so they survive python -O."""
 

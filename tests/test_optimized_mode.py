@@ -67,8 +67,7 @@ def tampered_record():
     # distant corner (1, 2)
     rule = sweep.Rule
     steps = {(1, 1): (rule.SPLIT, 1), (2, 2): (rule.END_PASS, 2), (0, 1): (rule.CONTRACT, 1)}
-    record = sweep.BranchRecord(steps, (0, 1))
-    sweep.reconstruct_path(record, KnotParams(3, 2))
+    sweep.reconstruct_path(steps, (0, 1), KnotParams(3, 2))
 
 
 def wrong_leaf_count():

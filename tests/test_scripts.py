@@ -1,7 +1,7 @@
-"""The runnable scripts and the benchmark tracer keep working against the
-package: the scripts run to completion, every function the tracer wraps
-still exists under the name it looks up, and a traced verify counts the
-sweep's rule steps."""
+"""The runnable scripts, the README's Library example and the benchmark
+tracer keep working against the package: the scripts and the example run
+to completion, every function the tracer wraps still exists under the name
+it looks up, and a traced verify counts the sweep's rule steps."""
 
 import importlib
 import importlib.util
@@ -49,6 +49,16 @@ class TestScripts:
             lines = result.stdout.splitlines()
             start = lines.index(header) + 1
             assert lines[start : start + len(trefoil)] == trefoil
+
+
+def test_readme_library_block_runs():
+    # the README's Library example must keep naming real functions and fields
+    text = (ROOT / "README.md").read_text()
+    start = text.index("```python\n", text.index("## Library")) + len("```python\n")
+    block = text[start : text.index("```", start)]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert [str(leaf.path) for leaf in namespace["result"].leaves] == ["NNEEE", "NENEE"]
 
 
 def load_tracer():

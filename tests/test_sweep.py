@@ -4,19 +4,16 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import khr.laurent
 import khr.sweep
 from khr.dyck import KnotParams, coprime_pairs, distance, k_of, rational_catalan
 from khr.laurent import A, Invariant, LaurentPoly, ONE, T, q_power
 from khr.sweep import (
-    BranchRecord,
-    Coloring,
     HHH_PROFILE,
-    Interval,
     Rule,
     TORIC_PROFILE,
     apply_rule,
     classify,
-    contract_distance,
     evaluate,
     evaluate_profiles,
     event_list,
@@ -30,27 +27,11 @@ mono = LaurentPoly.monomial
 small_coprime = st.sampled_from(coprime_pairs(10))
 
 
-def coloring(m, n, *pairs):
-    return Coloring(KnotParams(m, n), tuple(Interval(a, b) for a, b in pairs))
-
-
 class TestStateTypes:
     def test_initial_coloring(self):
-        assert initial_coloring(KnotParams(3, 2)).intervals == (Interval(0, 2),)
-        assert initial_coloring(KnotParams(1, 1)).intervals == (Interval(0, 1),)
-        assert initial_coloring(KnotParams(4, 3)).intervals == (Interval(0, 3),)
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            coloring(5, 3, (1, 2), (1, 3))
-        with pytest.raises(ValueError):
-            coloring(5, 3, (1, 2), (2, 2))
-
-    def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            coloring(3, 2, (3, 2))
-        with pytest.raises(ValueError):
-            coloring(3, 2, (0, 0))
+        assert initial_coloring(KnotParams(3, 2)) == ((0, 2),)
+        assert initial_coloring(KnotParams(1, 1)) == ((0, 1),)
+        assert initial_coloring(KnotParams(4, 3)) == ((0, 3),)
 
 
 class TestEvents:
@@ -82,50 +63,50 @@ class TestEvents:
 
 class TestClassifyApply:
     def test_branch_inside(self):
-        state = coloring(3, 2, (0, 2))
+        state = ((0, 2),)
         assert classify(state, (1, 1)) == (Rule.BRANCH, 0)
 
     def test_contract_at_both_endpoints(self):
-        state = coloring(3, 2, (0, 1), (1, 2))
+        state = ((0, 1), (1, 2))
         assert classify(state, (0, 1)) == (Rule.CONTRACT, 0)
 
     def test_start_pass(self):
-        state = coloring(3, 2, (0, 2))
+        state = ((0, 2),)
         assert classify(state, (0, 1)) == (Rule.START_PASS, 0)
 
     def test_end_pass_and_noop(self):
-        state = coloring(3, 2, (0, 1), (1, 2))
+        state = ((0, 1), (1, 2))
         assert classify(state, (2, 2)) == (Rule.END_PASS, 1)
-        assert classify(coloring(5, 2, (0, 1)), (4, 2)) == (Rule.NOOP, None)
+        assert classify(((0, 1),), (4, 2)) == (Rule.NOOP, None)
 
     def test_apply_branch_splits_interval(self):
-        state = coloring(3, 2, (0, 2))
+        state = ((0, 2),)
         (cut, cut_tag, cut_k), (keep, keep_tag, keep_k) = apply_rule(state, (1, 1))
-        assert cut.intervals == (Interval(0, 1), Interval(1, 2))
+        assert cut == ((0, 1), (1, 2))
         assert cut_tag is Rule.SPLIT and cut_k == 1
         assert keep is state and keep_tag is Rule.KEEP and keep_k == 1
         assert HHH_PROFILE.weight(Rule.SPLIT, 1) == q_power(-1)
         assert HHH_PROFILE.weight(Rule.KEEP, 1) == T * q_power(-1)
 
     def test_apply_contract_drops_interval(self):
-        state = coloring(3, 2, (0, 1), (1, 2))
+        state = ((0, 1), (1, 2))
         ((rest, tag, k),) = apply_rule(state, (0, 1))
-        assert rest.intervals == (Interval(1, 2),)
+        assert rest == ((1, 2),)
         assert tag is Rule.CONTRACT and k == 1
         assert HHH_PROFILE.weight(Rule.CONTRACT, 1) == q_power(1) - A
 
     def test_apply_final_contract_is_terminal(self):
-        state = coloring(3, 2, (1, 2))
+        state = ((1, 2),)
         ((rest, tag, _),) = apply_rule(state, (1, 2))
-        assert tag is Rule.TERMINAL and rest.intervals == ()
+        assert tag is Rule.TERMINAL and rest == ()
         assert HHH_PROFILE.base == Invariant(ONE, 1)
 
     def test_apply_pass_and_noop_keep_state(self):
-        state = coloring(3, 2, (0, 1), (1, 2))
+        state = ((0, 1), (1, 2))
         assert apply_rule(state, (2, 2)) == ((state, Rule.END_PASS, 2),)
-        wide = coloring(3, 2, (0, 2))
+        wide = ((0, 2),)
         assert apply_rule(wide, (0, 1)) == ((wide, Rule.START_PASS, 1),)
-        narrow = coloring(5, 2, (0, 1))
+        narrow = ((0, 1),)
         assert apply_rule(narrow, (4, 2)) == ((narrow, Rule.NOOP, None),)
 
 
@@ -160,7 +141,7 @@ class TestEvaluateHHH:
 
     def test_trefoil_leaves(self):
         result = evaluate(KnotParams(3, 2), HHH_PROFILE)
-        by_path = {str(leaf.path): leaf.value for leaf in result.leaves}
+        by_path = {str(leaf.path): Invariant(leaf.num, result.dpow) for leaf in result.leaves}
         assert by_path["NNEEE"] == Invariant(T * q_power(-1), 1)
         assert by_path["NENEE"] == Invariant(q_power(-1) * (mono(1, q2=2) - A), 1)
 
@@ -199,9 +180,9 @@ class TestEvaluateHHH:
         branches = branches_by_path(params, (HHH_PROFILE,))
         assert len(branches) == len(result.leaves)
         for leaf in result.leaves:
-            record, (value,) = branches[str(leaf.path)]
-            assert value == leaf.value
-            for p, (tag, k) in record.steps.items():
+            steps, _, (num,) = branches[str(leaf.path)]
+            assert num == leaf.num
+            for p, (tag, k) in steps.items():
                 if tag in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT):
                     assert k == k_of(leaf.path, p)
 
@@ -213,7 +194,9 @@ class TestTotal:
         # reference: the fold of leaf values through Invariant.__add__
         result = evaluate(params, profile)
         fold = functools.reduce(
-            operator.add, (leaf.value for leaf in result.leaves), Invariant(LaurentPoly(), 0)
+            operator.add,
+            (Invariant(leaf.num, result.dpow) for leaf in result.leaves),
+            Invariant(LaurentPoly(), 0),
         )
         assert result.total == fold
 
@@ -222,12 +205,31 @@ class TestTotal:
         with pytest.raises(RuntimeError, match="leaves, expected 3"):
             evaluate(KnotParams(3, 2), HHH_PROFILE)
 
+    def test_one_division_per_total(self, monkeypatch):
+        # a leaf keeps its numerator, so only the HHH total tries to divide
+        # by (1 - t); the scalar profile's base has no (1 - t) to divide
+        calls = []
+        divide = khr.laurent.divide_exact_by_one_minus_t
+
+        def counting_divide(p):
+            calls.append(p)
+            return divide(p)
+
+        monkeypatch.setattr(khr.laurent, "divide_exact_by_one_minus_t", counting_divide)
+        hhh, toric = evaluate_profiles(KnotParams(9, 7), (HHH_PROFILE, TORIC_PROFILE))
+        assert len(calls) == 1
+        assert (hhh.dpow, toric.dpow) == (1, 0)
+        assert len(hhh.leaves) == rational_catalan(KnotParams(9, 7))
+
 
 class TestDeadIntervals:
     def test_no_interval_outlives_its_contraction(self):
         # walk every branch with the public rule functions: at each event,
-        # every live interval still contracts at or above the event height
+        # every live interval still contracts at or above the event height,
+        # lies in range (0 <= start < m, 0 < end <= n), and starts and ends
+        # both strictly increase along the state
         for params in coprime_pairs(11):
+            m, n = params.m, params.n
             events = event_list(params)
             leaves = 0
             stack = [(0, initial_coloring(params))]
@@ -236,8 +238,11 @@ class TestDeadIntervals:
                 for i in range(start, len(events)):
                     p = events[i]
                     d = distance(params, p)
-                    for iv in state.intervals:
-                        assert contract_distance(iv, params) >= d, (params, p, state)
+                    for a, b in state:
+                        assert 0 <= a < m and 0 < b <= n, (params, p, state)
+                        assert m * b - n * a >= d, (params, p, state)
+                    for (a, b), (c, e) in zip(state, state[1:]):
+                        assert a < c and b < e, (params, p, state)
                     successors = apply_rule(state, p)
                     state, tag, _ = successors[0]
                     if tag is Rule.TERMINAL:
@@ -266,12 +271,13 @@ class TestSharedTraversal:
                 assert [str(leaf.path) for leaf in result.leaves] == [
                     str(leaf.path) for leaf in alone.leaves
                 ]
-                assert [leaf.value for leaf in result.leaves] == [
-                    leaf.value for leaf in alone.leaves
+                assert result.dpow == alone.dpow == profile.base.dpow
+                assert [leaf.num for leaf in result.leaves] == [
+                    leaf.num for leaf in alone.leaves
                 ]
                 assert len(branches) == len(result.leaves)
                 for leaf in result.leaves:
-                    assert branches[str(leaf.path)][1][j] == leaf.value
+                    assert branches[str(leaf.path)][2][j] == leaf.num
             hhh, toric = shared
             for h_leaf, t_leaf in zip(hhh.leaves, toric.leaves, strict=True):
                 assert h_leaf.path is t_leaf.path
@@ -287,7 +293,7 @@ class TestEvaluateToric:
 
     def test_trefoil_leaves(self):
         result = evaluate(KnotParams(3, 2), TORIC_PROFILE)
-        by_path = {str(leaf.path): leaf.value for leaf in result.leaves}
+        by_path = {str(leaf.path): Invariant(leaf.num, result.dpow) for leaf in result.leaves}
         assert by_path["NNEEE"] == Invariant(T * (ONE - A), 0)
         assert by_path["NENEE"] == Invariant(
             mono(1, q2=1) * (mono(1, q2=2) - A) * (A - ONE) * (-1), 0
@@ -299,24 +305,29 @@ class TestEvaluateToric:
 
 
 def walked_record(params, word):
-    """The reference walk's record of the branch that lands on path word."""
-    return branches_by_path(params, (HHH_PROFILE,))[word][0]
+    """The reference walk's (steps, terminal) for the branch that lands on
+    path word."""
+    steps, terminal, _ = branches_by_path(params, (HHH_PROFILE,))[word]
+    return steps, terminal
 
 
 class TestReconstruction:
     def test_trefoil_records(self):
-        keep = walked_record(KnotParams(3, 2), "NNEEE")
-        assert keep.steps[(1, 1)] == (Rule.KEEP, 1)
-        assert keep.terminal == (0, 2)
-        split = walked_record(KnotParams(3, 2), "NENEE")
-        assert split.steps[(1, 1)] == (Rule.SPLIT, 1)
-        assert split.steps[(0, 1)] == (Rule.CONTRACT, 1)
-        assert split.terminal == (1, 2)
+        steps, terminal = walked_record(KnotParams(3, 2), "NNEEE")
+        assert steps[(1, 1)] == (Rule.KEEP, 1)
+        assert terminal == (0, 2)
+        steps, terminal = walked_record(KnotParams(3, 2), "NENEE")
+        assert steps[(1, 1)] == (Rule.SPLIT, 1)
+        assert steps[(0, 1)] == (Rule.CONTRACT, 1)
+        assert terminal == (1, 2)
 
     def test_reconstruct_round_trip(self):
         params = KnotParams(5, 3)
         paths = sorted(
-            (reconstruct_path(record, params) for record, _ in walk_branches(params, (HHH_PROFILE,))),
+            (
+                reconstruct_path(steps, terminal, params)
+                for steps, terminal, _ in walk_branches(params, (HHH_PROFILE,))
+            ),
             key=lambda path: path.columns,
         )
         assert [str(path) for path in paths] == [
@@ -325,16 +336,14 @@ class TestReconstruction:
 
     def test_tampered_record_rejected(self):
         params = KnotParams(3, 2)
-        record = walked_record(params, "NENEE")
-        broken = BranchRecord(dict(record.steps), (0, 1))
+        steps, _ = walked_record(params, "NENEE")
         with pytest.raises(RuntimeError):
-            reconstruct_path(broken, params)
+            reconstruct_path(dict(steps), (0, 1), params)
 
     def test_tampered_k_rejected(self):
         params = KnotParams(3, 2)
-        record = walked_record(params, "NENEE")
-        bad_k = dict(record.steps)
+        steps, terminal = walked_record(params, "NENEE")
+        bad_k = dict(steps)
         bad_k[(1, 1)] = (Rule.SPLIT, 7)
-        broken = BranchRecord(bad_k, record.terminal)
         with pytest.raises(RuntimeError):
-            reconstruct_path(broken, params)
+            reconstruct_path(bad_k, terminal, params)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 import khr.verify
 from khr.dyck import KnotParams, coprime_pairs
 from khr.formula import hhh_direct, path_data
-from khr.laurent import Invariant, ONE
-from khr.sweep import HHH_PROFILE, TORIC_PROFILE, evaluate, evaluate_profiles
+from khr.laurent import Invariant, ONE, T
+from khr.sweep import HHH_PROFILE, TORIC_PROFILE, Leaf, evaluate, evaluate_profiles
 from khr.verify import (
     catalan_check,
     cross_check,
@@ -87,6 +87,17 @@ class TestCrossCheck:
     def test_53_leaf_count(self):
         check = cross_check(KnotParams(5, 3), evaluate(KnotParams(5, 3), HHH_PROFILE))
         assert check["pass"] and check["leaf_count"] == 7
+
+    def test_tampered_leaf_detected(self):
+        # one leaf numerator off, the total untouched: the mismatch prints
+        # the leaf normalized, (1 - t) / (1 - t) = 1
+        params = KnotParams(5, 3)
+        hhh = evaluate(params, HHH_PROFILE)
+        path, num = hhh.leaves[0]
+        hhh.leaves[0] = Leaf(path, ONE - T)
+        check = cross_check(params, hhh)
+        assert check["total_match"] and not check["pass"]
+        assert check["mismatches"] == [f"{path}: sweep 1, closed form {Invariant(num, 1)}"]
 
 
 class TestCatalan:
