@@ -267,9 +267,12 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 
 def _parse_range(expr: str) -> int:
     prefix = "msum<="
-    if not expr.startswith(prefix):
-        raise ValueError(f"range must look like 'msum<=K', got {expr!r}")
-    return int(expr[len(prefix) :])
+    try:
+        if expr.startswith(prefix):
+            return int(expr[len(prefix) :])
+    except ValueError:
+        pass
+    raise ValueError(f"range must look like 'msum<=K', got {expr!r}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -351,11 +354,16 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     else:
         # *.tmp files are partial writes left by a cache_store that was killed
         leftovers = sorted(directory.glob("*.tmp")) if directory.exists() else []
+        kept = set()
         for entry in entries + leftovers:
-            entry.unlink()
+            try:
+                entry.unlink()
+            except OSError as exc:
+                print(f"warning: could not remove {entry}: {exc}", file=sys.stderr)
+                kept.add(entry)
         print(
-            f"removed {len(entries)} entries and {len(leftovers)} temporary files "
-            f"from {directory}"
+            f"removed {len(set(entries) - kept)} entries and "
+            f"{len(set(leftovers) - kept)} temporary files from {directory}"
         )
     return EXIT_OK
 

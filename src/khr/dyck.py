@@ -116,24 +116,6 @@ class DyckPath:
         runs = (x - prev for prev, x in zip((0, *cols), cols))
         return "".join("E" * run + "N" for run in runs) + "E" * (self.params.m - cols[-1])
 
-    def row_span(self, y: int) -> tuple[int, int]:
-        """Horizontal extent [lo, hi] of the path at height y."""
-        lo = self.columns[y - 1] if y >= 1 else 0
-        hi = self.columns[y] if y < self.params.n else self.params.m
-        return lo, hi
-
-    def is_on(self, p: Point) -> bool:
-        x, y = p
-        if not (0 <= y <= self.params.n):
-            return False
-        lo, hi = self.row_span(y)
-        return lo <= x <= hi
-
-    def is_strictly_below(self, p: Point) -> bool:
-        """Strictly to the right of the path at p's height (the path side of the diagonal)."""
-        x, y = p
-        return 0 <= y <= self.params.n and x > self.row_span(y)[1]
-
 
 @lru_cache(maxsize=8)
 def enumerate_paths(params: KnotParams) -> tuple[DyckPath, ...]:
@@ -169,8 +151,8 @@ def interior_points(path: DyckPath) -> tuple[Point, ...]:
     are area(path) of them, which is checked."""
     m, n = path.params.m, path.params.n
     out: list[Point] = []
-    for y in range(n + 1):
-        x = path.row_span(y)[1] + 1
+    for y, hi in enumerate((*path.columns, m)):
+        x = hi + 1
         while n * x < m * y:
             out.append((x, y))
             x += 1
@@ -271,18 +253,22 @@ def k_values(path: DyckPath, points: tuple[Point, ...]) -> tuple[int, ...]:
     """
     params = path.params
     m, n = params.m, params.n
+    cols = path.columns
+    # the path runs along row y from (lo, y) to (hi, y)
+    spans = tuple(zip((0, *cols), (*cols, m)))
     offsets = []
     for p in points:
+        x, y = p
         dp = distance(params, p)
-        if not (path.is_on(p) or (dp > 0 and path.is_strictly_below(p))):
+        # on the path, or right of it at p's height and above the diagonal
+        if not (0 <= y <= n and spans[y][0] <= x and (x <= spans[y][1] or dp > 0)):
             raise ValueError(f"point {p} is neither on the path nor strictly below it")
         offsets.append(dp)
     # row y's N step from (hi, y) tops out at offset m*(y+1) - n*hi, and an
     # E step from (x, y) at its start; every vertex has d >= 0, so every
     # shift is nonnegative
     n_tops = e_tops = 0
-    cols = path.columns
-    for y, (lo, hi) in enumerate(zip((0, *cols), (*cols, m))):
+    for y, (lo, hi) in enumerate(spans):
         for x in range(lo, hi):
             e_tops |= 1 << (m * y - n * x)
         if y < n:

@@ -266,14 +266,9 @@ def poly_sum(polys: Iterable[LaurentPoly]) -> LaurentPoly:
     return result
 
 
-def monomial_ratio(
-    p: LaurentPoly, r: LaurentPoly
-) -> Optional[tuple[int, ExponentTriple, int]]:
-    """If p = c * x^e * r for a single signed monomial c * x^e, return it.
-
-    Returns (sign(c), e, |c|), or None when p is not a scalar-monomial
-    multiple of r (including p = 0).  r must be nonzero.
-    """
+def monomial_ratio(p: LaurentPoly, r: LaurentPoly) -> Optional[LaurentPoly]:
+    """The signed monomial c * x^e with p = c * x^e * r, or None when p is
+    no such multiple of r (including p = 0); r must be nonzero."""
     if not r:
         raise ValueError("reference polynomial must be nonzero")
     if not p or len(p) != len(r):
@@ -285,12 +280,11 @@ def monomial_ratio(
     ratio = cp // cr
     if ratio == 0:
         return None
-    sa, sq, st = shift = (pa - ra, pq - rq, pt - rt)
+    sa, sq, st = pa - ra, pq - rq, pt - rt
     for (ea, q2, t2), c in r.items():
         if p.coeff((ea + sa, q2 + sq, t2 + st)) != ratio * c:
             return None
-    sign = 1 if ratio > 0 else -1
-    return sign, shift, abs(ratio)
+    return LaurentPoly.monomial(ratio, sa, sq, st)
 
 
 def divide_exact_by_one_minus_t(p: LaurentPoly) -> LaurentPoly:

@@ -31,7 +31,6 @@ from .dyck import (
 from .formula import genus, hhh_direct, hhh_terms, path_data, superpolynomial
 from .laurent import (
     A,
-    ExponentTriple,
     Invariant,
     LaurentPoly,
     ONE,
@@ -127,11 +126,6 @@ def symmetry_checks(params: KnotParams) -> dict:
     }
 
 
-def _pretty_monomial(sign: int, exp: ExponentTriple, magnitude: int) -> str:
-    body = LaurentPoly.monomial(magnitude, *exp).text()
-    return body if sign > 0 else f"-{body}"
-
-
 def leaf_ratio_report(params: KnotParams, hhh: SweepResult, toric: SweepResult) -> dict:
     """Per-leaf ratio of the scalar sweep (toric) of params to (1-a)(1-t)
     times its HHH sweep (hhh).  Each ratio must be a signed monomial;
@@ -151,7 +145,7 @@ def leaf_ratio_report(params: KnotParams, hhh: SweepResult, toric: SweepResult) 
             {
                 "path": str(h_leaf.path),
                 "is_monomial": ratio is not None,
-                "ratio": "not a monomial" if ratio is None else _pretty_monomial(*ratio),
+                "ratio": "not a monomial" if ratio is None else ratio.text(),
             }
         )
     all_monomial = all(leaf["is_monomial"] for leaf in leaves)
@@ -161,7 +155,7 @@ def leaf_ratio_report(params: KnotParams, hhh: SweepResult, toric: SweepResult) 
         "pass": all_monomial,
         "all_monomial": all_monomial,
         "shares_global_monomial": all_monomial and len({leaf["ratio"] for leaf in leaves}) <= 1,
-        "single_interval_prediction": _pretty_monomial(1 if n % 2 == 0 else -1, (0, 1 - n, 0), 1),
+        "single_interval_prediction": LaurentPoly.monomial(1 if n % 2 == 0 else -1, q2=1 - n).text(),
         "leaves": leaves,
     }
 

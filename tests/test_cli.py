@@ -111,6 +111,17 @@ class TestCache:
         assert code == 0 and "removed 1 entries and 1 temporary files" in out
         assert not list(tmp_path.iterdir())
 
+    def test_clear_warns_on_entry_it_cannot_remove(self, capsys, tmp_path):
+        run(capsys, "compute", "3", "2", "--cache-dir", str(tmp_path))
+        stuck = tmp_path / f"compute_7_5_P_v{cli.CACHE_VERSION}.json"
+        stuck.mkdir()
+        code, out, err = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert "removed 1 entries and 0 temporary files" in out
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"warning: could not remove {stuck}: ")
+        assert list(tmp_path.iterdir()) == [stuck] and stuck.is_dir()
+
     def test_unreadable_entry_recomputed_with_warning(self, capsys, tmp_path):
         # a directory where the entry should be: reading and storing both
         # fail, and neither changes the printed result or the exit code
@@ -212,7 +223,10 @@ class TestVerify:
         assert "selects no knot" in err
 
     def test_bad_range_spec(self, capsys):
-        assert run(capsys, "verify", "--range", "k<=4")[0] == 2
+        for spec in ("k<=4", "msum<=abc", "msum<="):
+            code, out, err = run(capsys, "verify", "--range", spec)
+            assert code == 2 and out == ""
+            assert err == f"error: range must look like 'msum<=K', got {spec!r}\n"
 
     def test_range_and_pair_conflict(self, capsys):
         assert run(capsys, "verify", "3", "2", "--range", "msum<=4")[0] == 2

@@ -44,6 +44,11 @@ def path(m, n, word):
     return DyckPath.from_string(KnotParams(m, n), word)
 
 
+def vertices(word):
+    """The lattice points the path with N/E word word visits, in order."""
+    return [(word[:i].count("E"), word[:i].count("N")) for i in range(len(word) + 1)]
+
+
 def link_path(m, n, word):
     """A path for gcd(m, n) > 1, which KnotParams refuses: the only inputs
     on which the tie checks can fire."""
@@ -236,10 +241,11 @@ class TestInvariants:
             if distance(params, (x, y)) > 0
         }
         for p in enumerate_paths(params):
-            on_or_below = {q for q in positive if p.is_on(q) or p.is_strictly_below(q)}
-            word = str(p)
-            vertices = {(word[:i].count("E"), word[:i].count("N")) for i in range(m + n + 1)}
-            on_path = {q for q in vertices if distance(params, q) > 0}
+            verts = vertices(str(p))
+            on_path = {q for q in verts if distance(params, q) > 0}
+            # the last vertex at each height wins
+            right_end = {y: x for x, y in verts}
+            on_or_below = on_path | {(x, y) for x, y in positive if x > right_end[y]}
             assert set(interior_points(p)) | on_path == on_or_below
             assert set(interior_points(p)) & on_path == set()
 
@@ -293,6 +299,34 @@ class TestRewrittenStatistics:
             k_values(p, ((1, 1), (0, 1)))  # (0, 1) is a pass-through vertex
         with pytest.raises(ValueError):
             k_values(path(3, 2, "NENEE"), ((0, 1), (0, 2)))  # (0, 2) is above
+
+
+class TestPointCheck:
+    """k_values' point check against the vertices of the N/E word."""
+
+    def test_every_point_near_every_path_up_to_12(self):
+        # k_values refuses exactly the points that are neither a vertex of
+        # the path nor right of its last vertex at their height and above
+        # the diagonal, around every path with m + n <= 12
+        refusal = "neither on the path nor strictly below it"
+        queries = 0
+        for params in coprime_pairs(12):
+            m, n = params.m, params.n
+            for p in enumerate_paths(params):
+                verts = vertices(str(p))
+                on_path = set(verts)
+                right_end = {y: x for x, y in verts}
+                for x in range(-2, m + 3):
+                    for y in range(-2, n + 3):
+                        below = 0 <= y <= n and m * y - n * x > 0 and x > right_end[y]
+                        try:
+                            k_values(p, ((x, y),))
+                            refused = False
+                        except ValueError as exc:
+                            refused = refusal in str(exc)
+                        assert refused == ((x, y) not in on_path and not below), (str(p), (x, y))
+                        queries += 1
+        assert queries == 45056
 
 
 def sweep_map(m, n, word):

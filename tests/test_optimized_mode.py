@@ -92,6 +92,7 @@ def walk_guard(m, n, text):
 checks = [
     ("path below diagonal", lambda: DyckPath(KnotParams(3, 2), (0, 2))),
     ("k agreement", lambda: k_of(DyckPath.from_string(KnotParams(3, 2), "NNEEE"), (0, 1))),
+    ("off-path point", lambda: k_of(DyckPath.from_string(KnotParams(3, 2), "NENEE"), (0, 2))),
     ("degenerate contact", lambda: hplus(link_path(3, 3, "NENNEE"))),
     ("corner collision", lambda: vstar(link_path(3, 3, "NENENE"))),
     ("catalan divisibility", lambda: rational_catalan(SimpleNamespace(m=2, n=2))),
@@ -141,6 +142,7 @@ def test_guards_raise_under_optimize():
         "optimize 1",
         "path below diagonal ValueError",
         "k agreement ValueError",
+        "off-path point ValueError",
         "degenerate contact RuntimeError",
         "corner collision RuntimeError",
         "catalan divisibility ValueError",
