@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including a
-refused oversized run), 3 unsupported torus-link input.
+refused oversized run), 3 unsupported torus-link input, 141 broken stdout pipe.
 
 Results of `compute` can be cached as JSON files under a directory given by
 --cache-dir or the KHR_CACHE_DIR environment variable; the key embeds the
@@ -38,6 +38,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_LINKS = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process that signal killed
 
 CACHE_ENV = "KHR_CACHE_DIR"
 CACHE_VERSION = __version__
@@ -149,7 +150,7 @@ def cache_load(directory: Path, m: int, n: int, form: str) -> Optional[Invariant
         value = invariant_from_json(payload["invariant"])
         if payload != _cache_payload(m, n, form, value):
             raise ValueError("stored payload does not round-trip")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError, OverflowError) as exc:
         print(f"warning: discarding corrupt cache file {path}: {exc}", file=sys.stderr)
         return None
     return value
@@ -385,4 +386,11 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left; stdout goes to devnull so that shutdown's flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .dyck import (
     DyckPath,
@@ -224,18 +224,12 @@ def reconstruct_path(
     interact with anything and are omitted.
 
     The Keep points are exactly the lattice points strictly between the
-    path and the diagonal, which pins down the vertical step of every row;
-    every other tag is then validated against the path's statistics:
-    Split points must be its inner corners, Contract points the outer
-    corners short of the most distant one, the terminal the most distant
-    outer corner, and the pass tags the straight-through vertices.
+    path and the diagonal, which pins down the vertical step of every row.
+    That path fixes the step at every event; steps must equal that map, and
+    the terminal must be the most distant outer corner.
     """
     m, n = params.m, params.n
-    by_rule: dict[Rule, set[Point]] = {}
-    for p, (tag, _) in steps.items():
-        by_rule.setdefault(tag, set()).add(p)
-    keeps = by_rule.get(Rule.KEEP, set())
-
+    keeps = [p for p, (tag, _) in steps.items() if tag is Rule.KEEP]
     first_keep: dict[int, int] = {}
     for x, y in keeps:
         first_keep[y] = min(x, first_keep.get(y, x))
@@ -251,53 +245,44 @@ def reconstruct_path(
 
     outer, inner = corners(path)
     top = most_distant(params, outer)
+    # Keep inside, Split at inner corners, Contract at the other outer ones
+    weighted = dict.fromkeys(interior_points(path), Rule.KEEP)
+    weighted.update(dict.fromkeys(inner, Rule.SPLIT))
+    weighted.update(dict.fromkeys((p for p in outer if p != top), Rule.CONTRACT))
+    ks = k_values(path, tuple(weighted))
+    expected: dict[Point, object] = {p: (tag, k) for (p, tag), k in zip(weighted.items(), ks)}
+    # a pass is charged with the live interval count, which the path does
+    # not fix, so a pass step is compared by its tag alone
     vertical_pass, horizontal_pass = pass_through_points(path)
-    expected = {
-        Rule.KEEP: set(interior_points(path)),
-        Rule.SPLIT: set(inner),
-        Rule.CONTRACT: set(outer) - {top},
-        Rule.START_PASS: set(vertical_pass),
-        Rule.END_PASS: set(horizontal_pass),
-    }
-    for rule, points in expected.items():
-        got = by_rule.get(rule, set())
-        if got != points:
-            raise RuntimeError(
-                f"{rule.value} tags {sorted(got)} do not match the path "
-                f"{path}: expected {sorted(points)}"
-            )
+    expected.update(dict.fromkeys(vertical_pass, Rule.START_PASS))
+    expected.update(dict.fromkeys(horizontal_pass, Rule.END_PASS))
+    passes = (Rule.START_PASS, Rule.END_PASS)
+    got = {p: tag if tag in passes else (tag, k) for p, (tag, k) in steps.items()}
+    if got != expected:
+        p = next(p for p in sorted(got.keys() | expected.keys()) if got.get(p) != expected.get(p))
+        raise RuntimeError(
+            f"step {steps.get(p)} at {p} does not match the path {path}: "
+            f"expected {expected.get(p)}"
+        )
     if terminal != top:
         raise RuntimeError(
             f"terminal {terminal} is not the most distant corner {top} of {path}"
         )
-    weighted = tuple(
-        p for p, (tag, _) in steps.items() if tag in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT)
-    )
-    for p, expected_k in zip(weighted, k_values(path, weighted)):
-        tag, k = steps[p]
-        if k != expected_k:
-            raise RuntimeError(
-                f"{tag.value} at {p} used k={k} but the path {path} has k={expected_k}"
-            )
     return path
 
 
-def evaluate_profiles(
+def branches(
     params: KnotParams, profiles: tuple[WeightProfile, ...]
-) -> tuple[SweepResult, ...]:
-    """Explore every branch of the sweep once, carrying one weight per profile.
+) -> Iterator[tuple[dict[Point, tuple[Rule, int]], Point, tuple[LaurentPoly, ...]]]:
+    """The one walk over the sweep's branch tree: (steps, terminal, weights)
+    for each branch, in the order the walk finishes it.
 
-    The rules are written once, in apply_rule: every event steps through
-    it, the branch continues with the first successor, a second one (Keep)
-    is pushed for later, and Terminal ends the branch.  The branch tree
-    does not depend on the weights, so each leaf is reconstructed into its
-    Dyck path and validated once; its steps are then dropped, and every
-    profile's leaf shares that path.  The leaf lists come back sorted by
-    path (N before E), and the leaf count is checked against the rational
-    Catalan number.  Each rule's weights are looked up once per interval
-    count.  Every leaf numerator sits over its base's (1 - t) power, which
-    the result stores once as dpow, so each total is one sum of those
-    numerators, normalized once; a leaf keeps its numerator as it is.
+    Every event steps through apply_rule; the branch continues with the
+    first successor, a second one (Keep) is pushed for later, and Terminal
+    ends the branch.  steps is the branch's own {point: (tag, k)} dict,
+    never touched again after the yield; weights holds, per profile, the
+    product of its rule weights without the base, each rule's weights
+    looked up once per interval count.
     """
     events = event_list(params)
     factors: dict[tuple[Rule, int], tuple[LaurentPoly, ...]] = {}
@@ -308,7 +293,6 @@ def evaluate_profiles(
             rule_factors = factors[rule, k] = tuple(prof.weight(rule, k) for prof in profiles)
         return tuple(w * f for w, f in zip(weights, rule_factors))
 
-    found: list[tuple[DyckPath, tuple[LaurentPoly, ...]]] = []
     stack: list[tuple[int, Coloring, tuple[LaurentPoly, ...], dict]] = [
         (0, initial_coloring(params), (ONE,) * len(profiles), {})
     ]
@@ -322,7 +306,7 @@ def evaluate_profiles(
             if tag is Rule.NOOP:
                 continue
             if tag is Rule.TERMINAL:
-                found.append((reconstruct_path(steps, p, params), weights))
+                yield steps, p, weights
                 break
             for other, other_tag, other_k in successors[1:]:
                 stack.append(
@@ -333,6 +317,22 @@ def evaluate_profiles(
         else:
             raise RuntimeError("sweep exhausted its events with intervals still alive")
 
+
+def evaluate_profiles(
+    params: KnotParams, profiles: tuple[WeightProfile, ...]
+) -> tuple[SweepResult, ...]:
+    """Every profile's sweep, assembled from one walk of branches.
+
+    Each branch is reconstructed into its Dyck path and validated once, and
+    every profile's leaf shares that path.  The leaves come back sorted by
+    path (N before E), their count checked against the rational Catalan
+    number.  Each leaf numerator sits over its base's (1 - t) power, stored
+    once as dpow, so each total is one sum of numerators, normalized once.
+    """
+    found = [
+        (reconstruct_path(steps, terminal, params), weights)
+        for steps, terminal, weights in branches(params, profiles)
+    ]
     found.sort(key=lambda leaf: leaf[0].columns)
     expected = rational_catalan(params)
     if len(found) != expected:

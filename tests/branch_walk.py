@@ -1,65 +1,30 @@
-"""A reference walk over the sweep's branch tree, built on the public
-apply_rule stepper.
+"""The sweep's branches keyed by path, with each leaf numerator recomputed.
 
 evaluate_profiles keeps only each leaf's path and numerator; the tests that
-check the rule steps and interval counts along a branch read them from this
-walk instead.
+check the rule steps and interval counts along a branch read them from
+sweep.branches, the walk evaluate_profiles itself runs.
 """
 
 from __future__ import annotations
 
-from khr.laurent import ONE
-from khr.sweep import (
-    Rule,
-    apply_rule,
-    event_list,
-    initial_coloring,
-    reconstruct_path,
-)
-
-
-def walk_branches(params, profiles):
-    """Every branch of the sweep of params, in the order the walk finishes them.
-
-    Each item is (steps, terminal, nums): the branch's {point: (tag, k)}
-    rule steps, the point whose contraction ended it, and per profile the
-    product of its weights over the branch's successors times its base
-    numerator.
-    """
-    events = event_list(params)
-    out = []
-
-    def charged(weights, tag, k):
-        return tuple(w * prof.weight(tag, k) for w, prof in zip(weights, profiles))
-
-    stack = [(0, initial_coloring(params), {}, (ONE,) * len(profiles))]
-    while stack:
-        start, state, steps, weights = stack.pop()
-        for i in range(start, len(events)):
-            p = events[i]
-            successors = apply_rule(state, p)
-            state, tag, k = successors[0]
-            if tag is Rule.TERMINAL:
-                nums = tuple(w * prof.base.num for w, prof in zip(weights, profiles))
-                out.append((steps, p, nums))
-                break
-            if len(successors) == 2:
-                keep_state, keep_tag, keep_k = successors[1]
-                stack.append(
-                    (i + 1, keep_state, {**steps, p: (keep_tag, keep_k)},
-                     charged(weights, keep_tag, keep_k))
-                )
-            if tag is not Rule.NOOP:
-                steps[p] = (tag, k)
-                weights = charged(weights, tag, k)
-        else:
-            raise RuntimeError(f"{params}: events exhausted with intervals alive")
-    return out
+from khr.sweep import branches, reconstruct_path
 
 
 def branches_by_path(params, profiles):
-    """walk_branches keyed by the word of each branch's reconstructed path."""
-    return {
-        str(reconstruct_path(steps, terminal, params)): (steps, terminal, nums)
-        for steps, terminal, nums in walk_branches(params, profiles)
-    }
+    """sweep.branches keyed by the word of each branch's reconstructed path.
+
+    Each value is (steps, terminal, nums), nums holding per profile the
+    base numerator times the product of profile.weight(tag, k) over that
+    branch's own steps: recomputed here branch by branch, with no memo and
+    nothing shared between branches, independently of the walk's weights.
+    """
+    out = {}
+    for steps, terminal, _ in branches(params, profiles):
+        nums = []
+        for profile in profiles:
+            num = profile.base.num
+            for tag, k in steps.values():
+                num = num * profile.weight(tag, k)
+            nums.append(num)
+        out[str(reconstruct_path(steps, terminal, params))] = (steps, terminal, tuple(nums))
+    return out

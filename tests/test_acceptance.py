@@ -122,7 +122,7 @@ def test_criterion_05_sweep_statistics_coherence():
         result = evaluate(params, HHH_PROFILE)
         if len(result.leaves) != rational_catalan(params):
             failures.append((params.m, params.n, "leaf count"))
-        # the sweep keeps no branch records; read them from the reference walk
+        # the sweep keeps no branch records; read them from sweep.branches
         branches = branches_by_path(params, (HHH_PROFILE,))
         if len(branches) != len(result.leaves):
             failures.append((params.m, params.n, "walked branch count"))

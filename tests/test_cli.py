@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+
+import pytest
 
 import khr.cli as cli
 import khr.verify
@@ -73,10 +79,21 @@ class TestCache:
         code, second, _ = run(capsys, "compute", "3", "2", "--cache-dir", str(tmp_path))
         assert code == 0 and second == first
 
-    def test_corrupt_file_recomputed_with_warning(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: "{not json",
+            lambda text: "[" * 100000,
+            lambda text: text.replace('"one_minus_t_pow": 1', '"one_minus_t_pow": 1e400'),
+        ],
+        ids=["not-json", "too-deep", "power-overflows-int"],
+    )
+    def test_corrupt_file_recomputed_with_warning(self, capsys, tmp_path, corrupt):
         run(capsys, "compute", "3", "2", "--cache-dir", str(tmp_path))
         (victim,) = tmp_path.glob("compute_*.json")
-        victim.write_text("{not json")
+        text = victim.read_text()
+        victim.write_text(corrupt(text))
+        assert victim.read_text() != text
         code, out, err = run(capsys, "compute", "3", "2", "--cache-dir", str(tmp_path))
         assert code == 0
         assert "discarding corrupt cache" in err
@@ -162,6 +179,24 @@ class TestPaths:
         data = json.loads(out)
         assert data[0]["path"] == "NNEEE" and data[0]["area"] == 1
         assert data[1]["hplus"] == 1
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # the 370 KB listing overflows any pipe buffer, so the writer meets
+        # the closed pipe
+        env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        with subprocess.Popen(
+            [sys.executable, "-m", "khr", "paths", "11", "10"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert first == b"NNNNNNNNNNEEEEEEEEEEE\n"
+        assert proc.returncode == 141
+        assert err == b""
 
 
 class TestVerify:

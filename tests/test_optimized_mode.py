@@ -62,12 +62,23 @@ def rule_without_interval():
         sweep.classify = classify
 
 
+# the steps of the NENEE branch of (3, 2), whose terminal is (1, 2)
+NENEE_STEPS = {
+    (1, 1): (sweep.Rule.SPLIT, 1),
+    (2, 2): (sweep.Rule.END_PASS, 2),
+    (0, 1): (sweep.Rule.CONTRACT, 1),
+}
+
+
 def tampered_record():
-    # the NENEE branch of (3, 2), with its terminal moved off the most
-    # distant corner (1, 2)
-    rule = sweep.Rule
-    steps = {(1, 1): (rule.SPLIT, 1), (2, 2): (rule.END_PASS, 2), (0, 1): (rule.CONTRACT, 1)}
-    sweep.reconstruct_path(steps, (0, 1), KnotParams(3, 2))
+    # the terminal moved off the most distant corner (1, 2)
+    sweep.reconstruct_path(NENEE_STEPS, (0, 1), KnotParams(3, 2))
+
+
+def foreign_step_tag():
+    # a NoOp step, which no branch records, at the top corner (0, 2)
+    steps = {**NENEE_STEPS, (0, 2): (sweep.Rule.NOOP, None)}
+    sweep.reconstruct_path(steps, (1, 2), KnotParams(3, 2))
 
 
 def wrong_leaf_count():
@@ -102,6 +113,7 @@ checks = [
     ("event collision", lambda: sweep.event_list(link_params(2, 2))),
     ("rule without interval", rule_without_interval),
     ("tampered record", tampered_record),
+    ("foreign step tag", foreign_step_tag),
     ("leaf count", wrong_leaf_count),
     ("walk corner collision", lambda: walk_guard(2, 2, "collide")),
     ("walk degenerate contact", lambda: walk_guard(3, 3, "degenerate")),
@@ -152,6 +164,7 @@ def test_guards_raise_under_optimize():
         "event collision RuntimeError",
         "rule without interval RuntimeError",
         "tampered record RuntimeError",
+        "foreign step tag RuntimeError",
         "leaf count RuntimeError",
         "walk corner collision RuntimeError",
         "walk degenerate contact RuntimeError",

@@ -13,6 +13,7 @@ from khr.sweep import (
     Rule,
     TORIC_PROFILE,
     apply_rule,
+    branches,
     classify,
     evaluate,
     evaluate_profiles,
@@ -21,7 +22,7 @@ from khr.sweep import (
     reconstruct_path,
 )
 
-from .branch_walk import branches_by_path, walk_branches
+from .branch_walk import branches_by_path
 
 mono = LaurentPoly.monomial
 small_coprime = st.sampled_from(coprime_pairs(10))
@@ -261,8 +262,8 @@ class TestSharedTraversal:
         for params in coprime_pairs(12):
             shared = evaluate_profiles(params, profiles)
             assert [result.profile for result in shared] == ["HHH", "I"]
-            # the reference walk charges each profile's weights along every
-            # branch; each leaf's value is the product over its own branch
+            # each leaf's value is its base numerator times the product of
+            # its profile's weights over its own branch's steps
             branches = branches_by_path(params, profiles)
             for j, (result, profile) in enumerate(zip(shared, profiles, strict=True)):
                 alone = evaluate(params, profile)
@@ -305,8 +306,7 @@ class TestEvaluateToric:
 
 
 def walked_record(params, word):
-    """The reference walk's (steps, terminal) for the branch that lands on
-    path word."""
+    """The sweep's (steps, terminal) for the branch that lands on path word."""
     steps, terminal, _ = branches_by_path(params, (HHH_PROFILE,))[word]
     return steps, terminal
 
@@ -326,7 +326,7 @@ class TestReconstruction:
         paths = sorted(
             (
                 reconstruct_path(steps, terminal, params)
-                for steps, terminal, _ in walk_branches(params, (HHH_PROFILE,))
+                for steps, terminal, _ in branches(params, (HHH_PROFILE,))
             ),
             key=lambda path: path.columns,
         )
@@ -334,16 +334,34 @@ class TestReconstruction:
             str(leaf.path) for leaf in evaluate(params, HHH_PROFILE).leaves
         ]
 
-    def test_tampered_record_rejected(self):
+    @pytest.mark.parametrize(
+        "changes, terminal, message",
+        [
+            ({}, (0, 1), r"terminal \(0, 1\)"),
+            ({(1, 1): (Rule.SPLIT, 7)}, None, r"at \(1, 1\)"),
+            ({(0, 2): (Rule.NOOP, None)}, None, r"at \(0, 2\)"),
+            ({(0, 2): (Rule.TERMINAL, None)}, None, r"at \(0, 2\)"),
+            ({(0, 2): (Rule.BRANCH, 1)}, None, r"at \(0, 2\)"),
+            ({(2, 2): (Rule.START_PASS, 2)}, None, r"at \(2, 2\)"),
+            ({(0, 1): None}, None, r"at \(0, 1\)"),
+        ],
+        ids=[
+            "terminal-moved",
+            "split-k",
+            "extra-noop",
+            "extra-terminal",
+            "extra-branch",
+            "end-pass-retagged",
+            "contract-dropped",
+        ],
+    )
+    def test_tampered_record_rejected(self, changes, terminal, message):
+        # one edit of the (3,2) NENEE branch: a step replaced, added or
+        # (None) dropped, or the terminal moved
         params = KnotParams(3, 2)
-        steps, _ = walked_record(params, "NENEE")
-        with pytest.raises(RuntimeError):
-            reconstruct_path(dict(steps), (0, 1), params)
-
-    def test_tampered_k_rejected(self):
-        params = KnotParams(3, 2)
-        steps, terminal = walked_record(params, "NENEE")
-        bad_k = dict(steps)
-        bad_k[(1, 1)] = (Rule.SPLIT, 7)
-        with pytest.raises(RuntimeError):
-            reconstruct_path(bad_k, terminal, params)
+        steps, walked_terminal = walked_record(params, "NENEE")
+        assert steps[2, 2] == (Rule.END_PASS, 2) and steps[0, 1] == (Rule.CONTRACT, 1)
+        assert str(reconstruct_path(steps, walked_terminal, params)) == "NENEE"
+        tampered = {p: step for p, step in {**steps, **changes}.items() if step is not None}
+        with pytest.raises(RuntimeError, match=message):
+            reconstruct_path(tampered, terminal or walked_terminal, params)
