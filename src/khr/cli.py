@@ -346,6 +346,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if directory is None:
         print(f"no cache directory; set --cache-dir or {CACHE_ENV}", file=sys.stderr)
         return EXIT_USAGE
+    if directory.exists() and not directory.is_dir():
+        raise ValueError(f"{directory} is not a directory")
     entries = sorted(directory.glob("compute_*.json")) if directory.exists() else []
     if args.action == "info":
         print(f"cache directory: {directory}")

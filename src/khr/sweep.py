@@ -31,6 +31,7 @@ the weights, so one traversal serves several profiles.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Mapping, NamedTuple
@@ -41,11 +42,11 @@ from .dyck import (
     Point,
     corners,
     distance,
+    enumerate_paths,
     interior_points,
     k_values,
     most_distant,
     pass_through_points,
-    rational_catalan,
 )
 from .laurent import A, Invariant, LaurentPoly, ONE, T, poly_sum, q_power
 
@@ -224,24 +225,18 @@ def reconstruct_path(
     interact with anything and are omitted.
 
     The Keep points are exactly the lattice points strictly between the
-    path and the diagonal, which pins down the vertical step of every row.
+    path and the diagonal, and row y holds m*y//n - columns[y] of them (the
+    per-row form of dyck.area), so the Keep count per row gives the columns.
     That path fixes the step at every event; steps must equal that map, and
     the terminal must be the most distant outer corner.
     """
     m, n = params.m, params.n
-    keeps = [p for p, (tag, _) in steps.items() if tag is Rule.KEEP]
-    first_keep: dict[int, int] = {}
-    for x, y in keeps:
-        first_keep[y] = min(x, first_keep.get(y, x))
-    columns: list[int] = []
-    prev = 0
-    for y in range(n):
-        col = first_keep[y] - 1 if y in first_keep else (m * y) // n
-        if col < prev:
-            raise RuntimeError(f"keep set {sorted(keeps)} yields no monotone path")
-        columns.append(col)
-        prev = col
-    path = DyckPath(params, tuple(columns))
+    keeps = Counter(y for (_, y), (tag, _) in steps.items() if tag is Rule.KEEP)
+    try:
+        path = DyckPath(params, tuple(m * y // n - keeps[y] for y in range(n)))
+    except ValueError as exc:
+        # a sweep fault, not a usage error
+        raise RuntimeError(f"the Keep steps give no path: {exc}") from exc
 
     outer, inner = corners(path)
     top = most_distant(params, outer)
@@ -325,20 +320,19 @@ def evaluate_profiles(
 
     Each branch is reconstructed into its Dyck path and validated once, and
     every profile's leaf shares that path.  The leaves come back sorted by
-    path (N before E), their count checked against the rational Catalan
-    number.  Each leaf numerator sits over its base's (1 - t) power, stored
-    once as dpow, so each total is one sum of numerators, normalized once.
+    path (N before E), and their paths must be exactly enumerate_paths(params):
+    one leaf per path.  Each leaf numerator sits over its base's (1 - t)
+    power, stored once as dpow, so each total is one sum of numerators,
+    normalized once.
     """
     found = [
         (reconstruct_path(steps, terminal, params), weights)
         for steps, terminal, weights in branches(params, profiles)
     ]
     found.sort(key=lambda leaf: leaf[0].columns)
-    expected = rational_catalan(params)
-    if len(found) != expected:
-        raise RuntimeError(f"{len(found)} leaves, expected {expected}")
-    if len({path for path, _ in found}) != len(found):
-        raise RuntimeError("duplicate leaf paths")
+    paths = enumerate_paths(params)
+    if tuple(path for path, _ in found) != paths:
+        raise RuntimeError(f"{len(found)} leaves, not one on each of the {len(paths)} paths")
     results = []
     for j, profile in enumerate(profiles):
         base = profile.base

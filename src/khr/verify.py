@@ -87,15 +87,15 @@ def cross_check(params: KnotParams, hhh: SweepResult) -> dict:
     total_match = hhh.total == hhh_direct(params)
     leaf_count = len(hhh.leaves)
     expected_leaf_count = rational_catalan(params)
-    by_path = {leaf.path: leaf.num for leaf in hhh.leaves}
     mismatches = []
-    for path, term in zip(enumerate_paths(params), hhh_terms(params), strict=True):
+    # the leaves are sorted by path; a wrong count fails through leaf_count
+    for path, leaf, term in zip(enumerate_paths(params), hhh.leaves, hhh_terms(params)):
         # each leaf is term / (1 - t): compare numerators, and normalize
         # only to print a mismatch
-        got = by_path.get(path)
-        if got is None or hhh.dpow != 1 or got != term:
-            sweep = None if got is None else Invariant(got, hhh.dpow)
-            mismatches.append(f"{path}: sweep {sweep}, closed form {Invariant(term, 1)}")
+        if leaf.path != path or hhh.dpow != 1 or leaf.num != term:
+            mismatches.append(
+                f"{path}: sweep {Invariant(leaf.num, hhh.dpow)}, closed form {Invariant(term, 1)}"
+            )
     return {
         "pass": total_match and not mismatches and leaf_count == expected_leaf_count,
         "total_match": total_match,

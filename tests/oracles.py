@@ -126,6 +126,29 @@ def brute_hplus(m: int, n: int, word: str) -> int:
     return count
 
 
+def brute_dinv(m: int, n: int, word: str) -> int:
+    """Rational dinv (Gorsky-Mazin): the cells left of the path whose arm
+    and leg satisfy arm/(leg+1) < m/n < (arm+1)/leg, the right side vacuous
+    when leg = 0, compared in integers.  A cell (x, y) is left of the path
+    when x < columns[y]; its arm is columns[y] - x - 1 and its leg the number
+    of lower rows whose column is right of x."""
+    columns = []
+    x = 0
+    for s in word:
+        if s == "E":
+            x += 1
+        else:
+            columns.append(x)
+    count = 0
+    for y, column in enumerate(columns):
+        for x in range(column):
+            arm = column - x - 1
+            leg = sum(1 for below in columns[:y] if below > x)
+            if arm * n < m * (leg + 1) and (leg == 0 or m * leg < (arm + 1) * n):
+                count += 1
+    return count
+
+
 def brute_opairs(word: str) -> int:
     count = 0
     es = 0

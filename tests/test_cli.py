@@ -166,6 +166,29 @@ class TestCache:
         monkeypatch.delenv(cli.CACHE_ENV, raising=False)
         assert run(capsys, "cache", "info")[0] == 2
 
+    @pytest.mark.parametrize("action", ["info", "clear"])
+    def test_cache_on_regular_file_is_usage_error(self, capsys, tmp_path, action):
+        blocker = tmp_path / "F"
+        blocker.write_text("kept")
+        assert run(capsys, "cache", action, "--cache-dir", str(blocker)) == (
+            2,
+            "",
+            f"error: {blocker} is not a directory\n",
+        )
+        assert blocker.read_text() == "kept"
+
+    def test_cache_on_missing_directory_is_empty(self, capsys, tmp_path):
+        missing = tmp_path / "D"
+        assert run(capsys, "cache", "info", "--cache-dir", str(missing))[:2] == (
+            0,
+            f"cache directory: {missing}\nentries: 0\n",
+        )
+        assert run(capsys, "cache", "clear", "--cache-dir", str(missing))[:2] == (
+            0,
+            f"removed 0 entries and 0 temporary files from {missing}\n",
+        )
+        assert not missing.exists()
+
 
 class TestPaths:
     def test_plain_listing(self, capsys):

@@ -81,13 +81,21 @@ def foreign_step_tag():
     sweep.reconstruct_path(steps, (1, 2), KnotParams(3, 2))
 
 
-def wrong_leaf_count():
-    catalan = sweep.rational_catalan
-    sweep.rational_catalan = lambda params: 3
+def keep_added():
+    # a Keep at (1, 0) in row 0, which has no interior point, moves that
+    # row's column to -1
+    steps = {**NENEE_STEPS, (1, 0): (sweep.Rule.KEEP, 1)}
+    sweep.reconstruct_path(steps, (1, 2), KnotParams(3, 2))
+
+
+def wrong_leaf_count(edit):
+    # the two leaves of (3, 2) against an edited list of its paths
+    enumerate_paths = sweep.enumerate_paths
+    sweep.enumerate_paths = lambda params: edit(enumerate_paths(params))
     try:
         sweep.evaluate(KnotParams(3, 2), sweep.HHH_PROFILE)
     finally:
-        sweep.rational_catalan = catalan
+        sweep.enumerate_paths = enumerate_paths
 
 
 def walk_guard(m, n, text):
@@ -114,7 +122,9 @@ checks = [
     ("rule without interval", rule_without_interval),
     ("tampered record", tampered_record),
     ("foreign step tag", foreign_step_tag),
-    ("leaf count", wrong_leaf_count),
+    ("keep added", keep_added),
+    ("leaf path missing", lambda: wrong_leaf_count(lambda paths: paths[1:])),
+    ("leaf path twice", lambda: wrong_leaf_count(lambda paths: paths[:1] + paths)),
     ("walk corner collision", lambda: walk_guard(2, 2, "collide")),
     ("walk degenerate contact", lambda: walk_guard(3, 3, "degenerate")),
     ("walk k agreement", lambda: walk_guard(4, 2, "disagree")),
@@ -165,7 +175,9 @@ def test_guards_raise_under_optimize():
         "rule without interval RuntimeError",
         "tampered record RuntimeError",
         "foreign step tag RuntimeError",
-        "leaf count RuntimeError",
+        "keep added RuntimeError",
+        "leaf path missing RuntimeError",
+        "leaf path twice RuntimeError",
         "walk corner collision RuntimeError",
         "walk degenerate contact RuntimeError",
         "walk k agreement ValueError",

@@ -1,17 +1,20 @@
-"""The runnable scripts, the README's Library example and the benchmark
-tracer keep working against the package: the scripts and the example run
-to completion, every function the tracer wraps still exists under the name
-it looks up, and a traced verify counts the sweep's rule steps."""
+"""The runnable scripts, the README's Library example and Command line
+block, and the benchmark tracer keep working against the package: the
+scripts, the example and each command run to completion, every function the
+tracer wraps still exists under the name it looks up, and a traced verify
+counts the sweep's rule steps."""
 
 import importlib
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import khr
+import khr.cli as cli
 
 SRC = str(Path(khr.__file__).resolve().parents[1])
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,6 +62,21 @@ def test_readme_library_block_runs():
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert [str(leaf.path) for leaf in namespace["result"].leaves] == ["NNEEE", "NENEE"]
+
+
+def test_readme_command_line_block_runs(tmp_path, capsys):
+    # each command the README shows exits 0, its cache pointed at tmp_path
+    text = (ROOT / "README.md").read_text()
+    start = text.index("```\n", text.index("## Command line")) + len("```\n")
+    block = text[start : text.index("```", start)]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert all(argv[0] == "khr" for argv in commands)
+    for argv in commands:
+        if "--cache-dir" in argv:
+            argv[argv.index("--cache-dir") + 1] = str(tmp_path)
+        code = cli.run(argv[1:])
+        assert code == 0, (argv, capsys.readouterr().err)
+    assert len(commands) == 8
 
 
 def load_tracer():

@@ -202,9 +202,13 @@ class TestTotal:
         assert result.total == fold
 
     def test_wrong_leaf_count_raises(self, monkeypatch):
-        monkeypatch.setattr(khr.sweep, "rational_catalan", lambda params: 3)
-        with pytest.raises(RuntimeError, match="leaves, expected 3"):
-            evaluate(KnotParams(3, 2), HHH_PROFILE)
+        # the two leaves of (3,2) against its paths with one missing, then
+        # with one listed twice
+        paths = khr.sweep.enumerate_paths(KnotParams(3, 2))
+        for edited in (paths[1:], paths[:1] + paths):
+            monkeypatch.setattr(khr.sweep, "enumerate_paths", lambda params: edited)
+            with pytest.raises(RuntimeError, match=f"2 leaves, not one on each of the {len(edited)} paths"):
+                evaluate(KnotParams(3, 2), HHH_PROFILE)
 
     def test_one_division_per_total(self, monkeypatch):
         # a leaf keeps its numerator, so only the HHH total tries to divide
@@ -344,6 +348,7 @@ class TestReconstruction:
             ({(0, 2): (Rule.BRANCH, 1)}, None, r"at \(0, 2\)"),
             ({(2, 2): (Rule.START_PASS, 2)}, None, r"at \(2, 2\)"),
             ({(0, 1): None}, None, r"at \(0, 1\)"),
+            ({(1, 0): (Rule.KEEP, 1)}, None, r"Keep steps give no path"),
         ],
         ids=[
             "terminal-moved",
@@ -353,6 +358,7 @@ class TestReconstruction:
             "extra-branch",
             "end-pass-retagged",
             "contract-dropped",
+            "keep-added",
         ],
     )
     def test_tampered_record_rejected(self, changes, terminal, message):

@@ -99,6 +99,19 @@ class TestCrossCheck:
         assert check["total_match"] and not check["pass"]
         assert check["mismatches"] == [f"{path}: sweep 1, closed form {Invariant(num, 1)}"]
 
+    def test_wrong_leaf_list_fails_without_raising(self):
+        # leaves pair with paths by position: a dropped leaf fails through
+        # leaf_count, and two leaves swapped are two mismatches
+        params = KnotParams(5, 3)
+        hhh = evaluate(params, HHH_PROFILE)
+        hhh.leaves[0], hhh.leaves[1] = hhh.leaves[1], hhh.leaves[0]
+        check = cross_check(params, hhh)
+        assert check["total_match"] and not check["pass"] and len(check["mismatches"]) == 2
+        hhh = evaluate(params, HHH_PROFILE)
+        del hhh.leaves[-1]
+        check = cross_check(params, hhh)
+        assert check["mismatches"] == [] and check["leaf_count"] == 6 and not check["pass"]
+
 
 class TestCatalan:
     def test_examples(self):
