@@ -56,14 +56,16 @@ class LaurentPoly:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.monomial(other) if other else LaurentPoly()
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, (LaurentPoly, int)):
             return NotImplemented
-        return self._terms == other._terms
+        return self._terms == self._coerce(other)._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        terms = self._terms
+        if terms.keys() <= {(0, 0, 0)}:
+            # a constant equals its int, so it hashes like it
+            return hash(terms.get((0, 0, 0), 0))
+        return hash(frozenset(terms.items()))
 
     # -- ring operations --------------------------------------------------
 
@@ -72,7 +74,7 @@ class LaurentPoly:
         if isinstance(value, LaurentPoly):
             return value
         if isinstance(value, int):
-            return LaurentPoly.monomial(value) if value else LaurentPoly()
+            return LaurentPoly.monomial(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to LaurentPoly")
 
     def __add__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
@@ -84,22 +86,15 @@ class LaurentPoly:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        result = LaurentPoly()
-        result._terms = out
-        return result
+        return _from_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        result = LaurentPoly()
-        result._terms = {exp: -c for exp, c in self._terms.items()}
-        return result
+        return _from_terms({exp: -c for exp, c in self._terms.items()})
 
     def __sub__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other: int) -> "LaurentPoly":
-        return self._coerce(other) + (-self)
 
     def __mul__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         other = self._coerce(other)
@@ -110,12 +105,10 @@ class LaurentPoly:
             # a one-term factor shifts every key by one exponent: the keys
             # stay distinct and no coefficient cancels
             ((ea2, q2, t2), c2), = factor.items()
-            result = LaurentPoly()
-            result._terms = {
+            return _from_terms({
                 (ea1 + ea2, q1 + q2, t1 + t2): c1 * c2
                 for (ea1, q1, t1), c1 in terms.items()
-            }
-            return result
+            })
         out: dict[ExponentTriple, int] = {}
         for (ea1, q1, t1), c1 in terms.items():
             for (ea2, q2, t2), c2 in factor.items():
@@ -125,27 +118,15 @@ class LaurentPoly:
                     out[exp] = s
                 else:
                     out.pop(exp, None)
-        result = LaurentPoly()
-        result._terms = out
-        return result
+        return _from_terms(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, power: int) -> "LaurentPoly":
-        if power < 0:
-            raise ValueError("negative powers are supported only for monomials; invert exponents instead")
-        result = ONE
-        for _ in range(power):
-            result = result * self
-        return result
 
     # -- structure maps ----------------------------------------------------
 
     def swap_qt(self) -> "LaurentPoly":
         """Exchange the q- and t-exponents of every term."""
-        result = LaurentPoly()
-        result._terms = {(ea, t2, q2): c for (ea, q2, t2), c in self._terms.items()}
-        return result
+        return _from_terms({(ea, t2, q2): c for (ea, q2, t2), c in self._terms.items()})
 
     def euler_sign(self) -> "LaurentPoly":
         """Substitute (qt)^(1/2) -> -(qt)^(1/2), negating the odd terms.
@@ -159,9 +140,7 @@ class LaurentPoly:
             if (q2 - t2) % 2 != 0:
                 raise ValueError(f"term a^{ea} q2={q2} t2={t2} mixes half-integer parities")
             out[exp] = -c if q2 % 2 else c
-        result = LaurentPoly()
-        result._terms = out
-        return result
+        return _from_terms(out)
 
     def is_even_series(self) -> bool:
         """True iff every term involves only integer powers of q and t."""
@@ -169,72 +148,54 @@ class LaurentPoly:
 
     # -- rendering ----------------------------------------------------------
 
-    def text(self) -> str:
+    def _render(self, latex: bool) -> str:
         if not self._terms:
             return "0"
         parts: list[str] = []
         for (ea, q2, t2), c in self.sorted_items():
-            factors: list[str] = []
-            for sym, e in (("a", 2 * ea), ("q", q2), ("t", t2)):
-                if e == 0:
-                    continue
-                if e % 2 == 0:
-                    k = e // 2
-                    factors.append(sym if k == 1 else f"{sym}^{k}")
-                else:
-                    factors.append(f"{sym}^({e}/2)")
-            mag = abs(c)
-            if factors:
-                body = "*".join(factors)
-                if mag != 1:
-                    body = f"{mag}*{body}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append((" + " if c > 0 else " - ") + body)
+            powers = [("a", 2 * ea), ("q", q2), ("t", t2)]
+            if latex and q2 % 2 and t2 % 2:
+                # factor one (qt)^(1/2), signed to keep the leftovers small
+                half = 1 if q2 > 0 else -1
+                powers[1:] = [("(qt)", half), ("q", q2 - half), ("t", t2 - half)]
+            factors = [_power(sym, e, latex) for sym, e in powers if e]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            if parts:
+                parts.append(" - " if c < 0 else " + ")
+            elif c < 0:
+                parts.append("-")
+            parts.append((" " if latex else "*").join(factors))
         return "".join(parts)
 
+    def text(self) -> str:
+        return self._render(latex=False)
+
     def latex(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for (ea, q2, t2), c in self.sorted_items():
-            factors: list[str] = []
-            if ea:
-                factors.append("a" if ea == 1 else f"a^{{{ea}}}")
-            if q2 % 2 and t2 % 2:
-                # factor one (qt)^(1/2), signed to keep the leftovers small
-                if q2 > 0:
-                    factors.append("(qt)^{1/2}")
-                    q2, t2 = q2 - 1, t2 - 1
-                else:
-                    factors.append("(qt)^{-1/2}")
-                    q2, t2 = q2 + 1, t2 + 1
-            for sym, e in (("q", q2), ("t", t2)):
-                if e == 0:
-                    continue
-                if e % 2 == 0:
-                    k = e // 2
-                    factors.append(sym if k == 1 else f"{sym}^{{{k}}}")
-                else:
-                    factors.append(f"{sym}^{{{e}/2}}")
-            mag = abs(c)
-            body = " ".join(factors) if factors else str(mag)
-            if factors and mag != 1:
-                body = f"{mag} {body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append((" + " if c > 0 else " - ") + body)
-        return "".join(parts)
+        return self._render(latex=True)
 
     def __str__(self) -> str:
         return self.text()
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self.text()}')"
+
+
+def _from_terms(terms: dict[ExponentTriple, int]) -> LaurentPoly:
+    """A polynomial that takes terms, which hold no zero coefficient, as is."""
+    poly = object.__new__(LaurentPoly)
+    poly._terms = terms
+    return poly
+
+
+def _power(sym: str, doubled: int, latex: bool) -> str:
+    """sym^(doubled/2), spelled for text or for LaTeX."""
+    if doubled == 2:
+        return sym
+    exponent = f"{doubled}/2" if doubled % 2 else str(doubled // 2)
+    if latex:
+        return f"{sym}^{{{exponent}}}"
+    return f"{sym}^({exponent})" if doubled % 2 else f"{sym}^{exponent}"
 
 
 ZERO = LaurentPoly()
@@ -261,9 +222,7 @@ def poly_sum(polys: Iterable[LaurentPoly]) -> LaurentPoly:
     for p in polys:
         for exp, c in p._terms.items():
             acc[exp] = get(exp, 0) + c
-    result = LaurentPoly()
-    result._terms = {exp: c for exp, c in acc.items() if c}
-    return result
+    return _from_terms({exp: c for exp, c in acc.items() if c})
 
 
 def monomial_ratio(p: LaurentPoly, r: LaurentPoly) -> Optional[LaurentPoly]:
@@ -311,9 +270,7 @@ def divide_exact_by_one_minus_t(p: LaurentPoly) -> LaurentPoly:
             elif u:
                 out[ea, q2, t2] = u
             prev = u
-    result = LaurentPoly()
-    result._terms = out
-    return result
+    return _from_terms(out)
 
 
 @dataclass(frozen=True)
@@ -339,16 +296,11 @@ class Invariant:
         object.__setattr__(self, "dpow", dpow)
 
     def __add__(self, other: "Invariant") -> "Invariant":
-        d = max(self.dpow, other.dpow)
-        scale1 = (ONE - T) ** (d - self.dpow)
-        scale2 = (ONE - T) ** (d - other.dpow)
-        return Invariant(self.num * scale1 + other.num * scale2, d)
-
-    def __neg__(self) -> "Invariant":
-        return Invariant(-self.num, self.dpow)
-
-    def __sub__(self, other: "Invariant") -> "Invariant":
-        return self + (-other)
+        low, high = sorted((self, other), key=lambda v: v.dpow)
+        num = low.num
+        for _ in range(high.dpow - low.dpow):
+            num = num * (ONE - T)
+        return Invariant(num + high.num, high.dpow)
 
     def __mul__(self, other: Union[LaurentPoly, int]) -> "Invariant":
         return Invariant(self.num * other, self.dpow)

@@ -31,17 +31,26 @@ g = (m-1)(n-1)/2:
   substitutes nothing into q or t, and pins the a-structure that the
   corner products carry.
 
+* T(2, 2k+1) in three variables (Dunfield-Gukov-Rasmussen, *The
+  superpolynomial for knot homologies*, 2006): the reduced superpolynomial
+  is a^2k q^-2k sum_{i=0..k} q^4i t^2i
+  + a^(2k+2) q^(2-2k) t^3 sum_{i=0..k-1} q^4i t^2i.  Substituting
+  a -> a^(1/2) q^(1/4) t^(1/4), q -> q^(1/2), t -> -(qt)^(-1/2), and
+  dividing by (1 - t), gives P(2k+1, 2) itself.  The trefoil alone fixes
+  that change of variables; every larger k is then a check.
+
 The arithmetic here is plain integer lists and {(a, q) exponent:
-coefficient} dicts, independent of the package's polynomial type.  All
-three identities read only q2 - t2, so an error that moves weight between
-the q- and t-exponents by equal amounts passes them; the q <-> t symmetry
-check covers part of that gap.
+coefficient} dicts, independent of the package's polynomial type.  The
+first four identities read only q2 - t2, so an error that moves weight
+between the q- and t-exponents by equal amounts passes them; the q <-> t
+symmetry check and the T(2, 2k+1) family cover part of that gap.
 """
 
 from math import comb
 
-from khr.dyck import coprime_pairs
-from khr.formula import hhh_direct, superpolynomial
+from khr.dyck import KnotParams, coprime_pairs
+from khr.formula import hhh_direct, normalization, superpolynomial
+from khr.sweep import HHH_PROFILE, evaluate
 
 MAX_SUM = 16
 
@@ -209,6 +218,26 @@ def at_q_t_one(numerator, scale=1):
     return {e: c for e, c in out.items() if c}
 
 
+def dgr_torus_2(k):
+    """DGR's reduced superpolynomial of T(2, 2k+1), in their variables, as
+    {(a, q, t) exponent: coefficient}."""
+    terms = {(2 * k, 4 * i - 2 * k, 2 * i): 1 for i in range(k + 1)}
+    terms.update({(2 * k + 2, 4 * i + 2 - 2 * k, 2 * i + 3): 1 for i in range(k)})
+    return terms
+
+
+def from_dgr(terms):
+    """DGR's terms in this package's variables, as {(a, doubled q,
+    doubled t) exponent: coefficient}: a^A q^B t^C becomes
+    (-1)^C a^(A/2) q^((A/2 + B - C)/2) t^((A/2 - C)/2)."""
+    out = {}
+    for (ea, eq, et), c in terms.items():
+        if ea % 2:
+            raise ValueError(f"odd a-degree {ea}")
+        out[ea // 2, ea // 2 + eq - et, ea // 2 - et] = (-1) ** et * c
+    return out
+
+
 def test_helpers_on_small_cases():
     # the trefoil's Alexander polynomial and the (3,2) q-Catalan number
     assert alexander(3, 2) == [1, -1, 1]
@@ -223,6 +252,10 @@ def test_helpers_on_small_cases():
     # the trefoil: 3 (N(3,2;1) + N(3,2;2) (1-a)) = 3 (2 - a)
     assert narayana_side(3, 2) == {0: 6, 1: -3}
     assert at_q_t_one({(0, -2, 2): 1, (0, 0, 0): 1, (1, -2, 0): -1}, scale=3) == {0: 6, 1: -3}
+    # the unknot and the trefoil, (a^2 q^-2 + a^2 q^2 t^2 + a^4 t^3) in DGR's variables
+    assert from_dgr(dgr_torus_2(0)) == {(0, 0, 0): 1}
+    assert dgr_torus_2(1) == {(2, -2, 0): 1, (2, 2, 2): 1, (4, 0, 3): 1}
+    assert from_dgr(dgr_torus_2(1)) == {(1, -1, 1): 1, (1, 1, -1): 1, (2, -1, -1): -1}
 
 
 def test_alexander_polynomial():
@@ -272,4 +305,19 @@ def test_rational_narayana_at_q_t_one():
             failures.append((m, n, f"over (1-t)^{value.dpow}"))
         elif at_q_t_one(value.num, scale=m) != narayana_side(m, n):
             failures.append((m, n))
+    assert failures == []
+
+
+def test_torus_2_family_from_dgr():
+    failures = []
+    for k in range(40):
+        params = KnotParams(2 * k + 1, 2)
+        expected = from_dgr(dgr_torus_2(k))
+        value = superpolynomial(params)
+        if value.dpow != 1 or dict(value.num.items()) != expected:
+            failures.append((k, "closed form"))
+        if k <= 24:
+            value = evaluate(params, HHH_PROFILE).total * normalization(params)
+            if value.dpow != 1 or dict(value.num.items()) != expected:
+                failures.append((k, "sweep"))
     assert failures == []

@@ -1,5 +1,6 @@
 import functools
 import operator
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +65,20 @@ class TestPolySum:
 
     def test_accepts_generators(self):
         assert poly_sum(q_power(k) for k in range(3)) == ONE + Q + Q * Q
+
+
+class TestHashing:
+    def test_constants_hash_like_their_ints(self):
+        for c in (0, 1, -1, 7, 10**30):
+            const = mono(c)
+            assert const == c
+            assert hash(const) == hash(c)
+            assert len({c, const}) == 1
+            assert c in {const: "x"} and const in {c: "x"}
+        assert hash(ZERO) == hash(0) and hash(ONE) == hash(1)
+
+    def test_term_order_does_not_change_the_hash(self):
+        assert hash(Q + T - 2) == hash(-2 + T + Q)
 
 
 class TestArithmetic:
@@ -276,6 +291,14 @@ class TestInvariant:
         total = Invariant(Q, 1) + Invariant(T, 0)
         assert total == Invariant(Q + T * (ONE - T), 1)
 
+    def test_addition_across_a_gap_of_three(self):
+        # x/(1-t)^3 + y = (x + y(1-t)^3)/(1-t)^3, in either order
+        cube = (ONE - T) * (ONE - T) * (ONE - T)
+        expected = Invariant(Q + T * cube, 3)
+        assert expected.dpow == 3
+        assert Invariant(Q, 3) + Invariant(T, 0) == expected
+        assert Invariant(T, 0) + Invariant(Q, 3) == expected
+
     def test_scaling(self):
         assert Invariant(Q, 1) * T == Invariant(Q * T, 1)
 
@@ -308,7 +331,50 @@ class TestSpecializeCount:
         assert specialize_count(Invariant(p, 0)) == expected
 
 
+FACTOR = {
+    False: re.compile(r"([aqt])(?:\^(-?\d+)|\^\((-?\d+)/2\))?"),
+    True: re.compile(r"([aqt]|\(qt\))(?:\^\{(-?\d+)\}|\^\{(-?\d+)/2\})?"),
+}
+
+
+def parse(rendered, latex):
+    """The polynomial that a text() (latex=False) or latex() rendering
+    spells, read back one factor at a time; (qt) adds to both q and t."""
+    if rendered == "0":
+        return ZERO
+    pieces = re.split(r" ([+-]) ", rendered)
+    first = pieces.pop(0)
+    pieces = ["-", first[1:]] + pieces if first.startswith("-") else ["+", first] + pieces
+    terms = {}
+    for sign, body in zip(pieces[::2], pieces[1::2]):
+        coeff, doubled = (1 if sign == "+" else -1), {"a": 0, "q": 0, "t": 0}
+        for factor in body.split(" " if latex else "*"):
+            if factor.isdigit():
+                coeff *= int(factor)
+                continue
+            sym, whole, half = FACTOR[latex].fullmatch(factor).groups()
+            power = int(half) if half else 2 * int(whole or 1)
+            for s in ("q", "t") if sym == "(qt)" else (sym,):
+                doubled[s] += power
+        exp = (doubled["a"] // 2, doubled["q"], doubled["t"])
+        assert doubled["a"] % 2 == 0 and exp not in terms
+        terms[exp] = coeff
+    return LaurentPoly(terms)
+
+
 class TestRendering:
+    @given(polys())
+    def test_text_round_trip(self, p):
+        assert parse(p.text(), latex=False) == p
+
+    @given(polys())
+    def test_latex_round_trip(self, p):
+        assert parse(p.latex(), latex=True) == p
+
+    def test_parse_reads_hand_examples(self):
+        assert parse("-2*a^2*q^(-1/2)*t^(3/2)", latex=False) == mono(-2, ea=2, q2=-1, t2=3)
+        assert parse("a (qt)^{-1/2} - 3 q^{-2}", latex=True) == mono(1, ea=1, q2=-1, t2=-1) - mono(3, q2=-4)
+
     def test_text_zero(self):
         assert ZERO.text() == "0"
 
