@@ -112,9 +112,9 @@ class DyckPath:
         return cls(params, tuple(columns))
 
     def __str__(self) -> str:
+        # the runs of E steps between the N steps, row by row
         cols = self.columns
-        runs = (x - prev for prev, x in zip((0, *cols), cols))
-        return "".join("E" * run + "N" for run in runs) + "E" * (self.params.m - cols[-1])
+        return "N".join(["E" * (x - prev) for prev, x in zip((0, *cols), (*cols, self.params.m))])
 
 
 @lru_cache(maxsize=8)
@@ -229,7 +229,8 @@ def pass_through_points(path: DyckPath) -> tuple[tuple[Point, ...], tuple[Point,
 def most_distant(params: KnotParams, outer: tuple[Point, ...]) -> Point:
     """The corner of outer farthest from the diagonal; any two corners
     at equal distance raise."""
-    dists = [distance(params, v) for v in outer]
+    m, n = params.m, params.n
+    dists = [m * y - n * x for x, y in outer]
     if len(set(dists)) != len(dists):
         raise RuntimeError(f"corner distances collide: {dists}")
     return outer[dists.index(max(dists))]
@@ -240,6 +241,16 @@ def vstar(path: DyckPath) -> tuple[Point, ...]:
     outer, _ = corners(path)
     top = most_distant(path.params, outer)
     return tuple(v for v in outer if v != top)
+
+
+@lru_cache(maxsize=8)
+def e_strides(m: int, n: int) -> tuple[int, ...]:
+    """e_strides(m, n)[j]: the top offsets n, 2n, .., jn of j E steps
+    ending at offset 0, as a bit set, for j = 0 .. m."""
+    strides = [0]
+    for j in range(1, m + 1):
+        strides.append(strides[-1] | 1 << (n * j))
+    return tuple(strides)
 
 
 def k_values(path: DyckPath, points: tuple[Point, ...]) -> tuple[int, ...]:
@@ -256,29 +267,27 @@ def k_values(path: DyckPath, points: tuple[Point, ...]) -> tuple[int, ...]:
     cols = path.columns
     # the path runs along row y from (lo, y) to (hi, y)
     spans = tuple(zip((0, *cols), (*cols, m)))
-    offsets = []
-    for p in points:
-        x, y = p
-        dp = distance(params, p)
-        # on the path, or right of it at p's height and above the diagonal
-        if not (0 <= y <= n and spans[y][0] <= x and (x <= spans[y][1] or dp > 0)):
-            raise ValueError(f"point {p} is neither on the path nor strictly below it")
-        offsets.append(dp)
-    # row y's N step from (hi, y) tops out at offset m*(y+1) - n*hi, and an
-    # E step from (x, y) at its start; every vertex has d >= 0, so every
-    # shift is nonnegative
+    # row y's E steps end at (hi, y), at offset d = m*y - n*hi, and top out
+    # at d + n, .., d + n*(hi - lo); its N step from (hi, y) tops out at
+    # d + m.  Every vertex has d >= 0, so every shift is nonnegative.
+    strides = e_strides(m, n)
     n_tops = e_tops = 0
     for y, (lo, hi) in enumerate(spans):
-        for x in range(lo, hi):
-            e_tops |= 1 << (m * y - n * x)
+        d = m * y - n * hi
+        e_tops |= strides[hi - lo] << d
         if y < n:
-            n_tops |= 1 << (m * (y + 1) - n * hi)
+            n_tops |= 1 << (d + m)
     n_window = (1 << (m - 1)) - 1
     e_window = (1 << (n - 1)) - 1
     out = []
-    for p, dp in zip(points, offsets):
-        vertical = ((n_tops >> (dp + 1)) & n_window).bit_count()
-        horizontal = ((e_tops >> (dp + 1)) & e_window).bit_count()
+    for p in points:
+        x, y = p
+        dp = m * y - n * x
+        # on the path, or right of it at p's height and above the diagonal
+        if not (0 <= y <= n and spans[y][0] <= x and (x <= spans[y][1] or dp > 0)):
+            raise ValueError(f"point {p} is neither on the path nor strictly below it")
+        vertical = (n_tops >> (dp + 1) & n_window).bit_count()
+        horizontal = (e_tops >> (dp + 1) & e_window).bit_count()
         if vertical != horizontal:
             raise ValueError(
                 f"crossing counts at {p} disagree ({vertical} vertical, {horizontal} "
@@ -286,6 +295,37 @@ def k_values(path: DyckPath, points: tuple[Point, ...]) -> tuple[int, ...]:
             )
         out.append(vertical)
     return tuple(out)
+
+
+def k_totals(path: DyckPath) -> tuple[int, int]:
+    """(sum of k_of over the interior points, sum over the inner corners),
+    counted per N step instead of per point.
+
+    The line at offset dp crosses row y's N step, which runs from offset
+    d = m*y - n*columns[y] up to d + m, iff d < dp < d + m.  So each sum
+    counts, over the N steps, the set's offsets strictly inside that
+    window; the set is a bit set, as no two lattice points in range share
+    an offset.
+    """
+    m, n = path.params.m, path.params.n
+    strides = e_strides(m, n)
+    interior = inner = 0
+    prev = 0
+    for y, x in enumerate(path.columns):
+        # row y's interior points run from (x + 1, y) to (top, y), at offsets
+        # r, r + n, .., with r = m*y - n*top >= 0 the last one's
+        top = m * y // n
+        interior |= strides[top - x] << (m * y - n * top) >> n
+        if x > prev:
+            inner |= 1 << (m * y - n * x)
+        prev = x
+    window = (1 << (m - 1)) - 1
+    k_interior = k_inner = 0
+    for y, x in enumerate(path.columns):
+        d = m * y - n * x + 1
+        k_interior += (interior >> d & window).bit_count()
+        k_inner += (inner >> d & window).bit_count()
+    return k_interior, k_inner
 
 
 def k_of(path: DyckPath, p: Point) -> int:

@@ -13,7 +13,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .dyck import DyckPath, KnotParams, area, hplus, k_values, vstar
+from .dyck import DyckPath, KnotParams, area, e_strides, hplus, k_values, vstar
 from .laurent import Invariant, LaurentPoly
 
 # (area, hplus, k over the trimmed outer corners in ascending order): all a
@@ -62,10 +62,7 @@ def records(params: KnotParams) -> Iterator[PathRecord]:
     """
     m, n = params.m, params.n
     last = n - 1
-    # stride[j]: the top offsets n, 2n, .., jn of j E steps ending at offset 0
-    stride = [0]
-    for j in range(1, m + 1):
-        stride.append(stride[-1] | 1 << (n * j))
+    stride = e_strides(m, n)
     window = (1 << (m + n - 1)) - 1
     contact = 1 | 1 << (m + n)
     n_window = (1 << (m - 1)) - 1

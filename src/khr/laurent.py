@@ -98,20 +98,13 @@ class LaurentPoly:
 
     def __mul__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         other = self._coerce(other)
-        terms, factor = self._terms, other._terms
-        if len(terms) == 1:
-            terms, factor = factor, terms
-        if len(factor) == 1:
-            # a one-term factor shifts every key by one exponent: the keys
-            # stay distinct and no coefficient cancels
-            ((ea2, q2, t2), c2), = factor.items()
-            return _from_terms({
-                (ea1 + ea2, q1 + q2, t1 + t2): c1 * c2
-                for (ea1, q1, t1), c1 in terms.items()
-            })
+        poly, factor = (other, self) if len(self._terms) == 1 else (self, other)
+        if len(factor._terms) == 1:
+            ((ea, q2, t2), c), = factor._terms.items()
+            return poly.times_monomial(c, ea, q2, t2)
         out: dict[ExponentTriple, int] = {}
-        for (ea1, q1, t1), c1 in terms.items():
-            for (ea2, q2, t2), c2 in factor.items():
+        for (ea1, q1, t1), c1 in self._terms.items():
+            for (ea2, q2, t2), c2 in other._terms.items():
                 exp = (ea1 + ea2, q1 + q2, t1 + t2)
                 s = out.get(exp, 0) + c1 * c2
                 if s:
@@ -121,6 +114,15 @@ class LaurentPoly:
         return _from_terms(out)
 
     __rmul__ = __mul__
+
+    def times_monomial(self, coeff: int, ea: int = 0, q2: int = 0, t2: int = 0) -> "LaurentPoly":
+        """self times coeff * a^ea q^(q2/2) t^(t2/2), in one pass: the shift
+        keeps the keys distinct, and no coefficient cancels."""
+        if not coeff:
+            return ZERO
+        return _from_terms({
+            (ea1 + ea, q1 + q2, t1 + t2): c * coeff for (ea1, q1, t1), c in self._terms.items()
+        })
 
     # -- structure maps ----------------------------------------------------
 
@@ -232,17 +234,17 @@ def monomial_ratio(p: LaurentPoly, r: LaurentPoly) -> Optional[LaurentPoly]:
         raise ValueError("reference polynomial must be nonzero")
     if not p or len(p) != len(r):
         return None
-    (pa, pq, pt), cp = min(p.items())
-    (ra, rq, rt), cr = min(r.items())
+    pa, pq, pt = p_low = min(p._terms)
+    ra, rq, rt = r_low = min(r._terms)
+    cp, cr = p._terms[p_low], r._terms[r_low]
     if cp % cr != 0:
         return None
     ratio = cp // cr
     if ratio == 0:
         return None
     sa, sq, st = pa - ra, pq - rq, pt - rt
-    for (ea, q2, t2), c in r.items():
-        if p.coeff((ea + sa, q2 + sq, t2 + st)) != ratio * c:
-            return None
+    if r.times_monomial(ratio, sa, sq, st)._terms != p._terms:
+        return None
     return LaurentPoly.monomial(ratio, sa, sq, st)
 
 

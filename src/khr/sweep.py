@@ -26,28 +26,17 @@ profile's base value.  One leaf arises per (m, n)-Dyck path: the region the
 chosen intervals sweep is bounded by that path, and the branch's rule steps
 are reconstructed into the path and validated against its statistics; the
 leaf keeps only that path and its numerator.  The tree does not depend on
-the weights, so one traversal serves several profiles.
+the weights, so it is walked once without them, and each profile weighs a
+leaf from the (tag, k) values of its steps alone.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .dyck import (
-    DyckPath,
-    KnotParams,
-    Point,
-    corners,
-    distance,
-    enumerate_paths,
-    interior_points,
-    k_values,
-    most_distant,
-    pass_through_points,
-)
+from .dyck import DyckPath, KnotParams, Point, distance, e_strides, enumerate_paths, most_distant
 from .laurent import A, Invariant, LaurentPoly, ONE, T, poly_sum, q_power
 
 
@@ -65,6 +54,15 @@ class Rule(str, Enum):
     KEEP = "Keep"
     NOOP = "NoOp"
     TERMINAL = "Terminal"
+
+
+# The members under plain names, which the per-event code reads: a read of
+# Rule.KEEP goes through the Enum class and costs several global reads.
+CONTRACT, START_PASS, END_PASS, BRANCH, SPLIT, KEEP, NOOP, TERMINAL = Rule
+
+# A branch's step at an event: the tag of the successor it took there and
+# that successor's interval count.
+Step = tuple[Rule, int]
 
 
 # A state: the intervals as (start_col, end_row) pairs, starts and ends both
@@ -97,24 +95,20 @@ def classify(state: Coloring, p: Point) -> tuple[Rule, int | None]:
     """
     x, y = p
     found: tuple[Rule, int] | None = None
-    for i, (a, b) in enumerate(state):
-        if a == x and b == y:
-            rule = Rule.CONTRACT
-        elif a == x and b > y:
-            rule = Rule.START_PASS
-        elif a < x and b == y:
-            rule = Rule.END_PASS
-        elif a < x and b > y:
-            rule = Rule.BRANCH
-        else:
-            continue  # p lies left or right of this interval
-        if found is not None:
-            raise UnsupportedConfiguration(
-                f"intervals {found[1]} and {i} both meet event {p}"
-            )
-        found = (rule, i)
+    i = 0  # a plain counter: enumerate costs a quarter of this loop
+    for a, b in state:
+        if a <= x and b >= y:  # p lies neither left nor right of this interval
+            if found is not None:
+                raise UnsupportedConfiguration(
+                    f"intervals {found[1]} and {i} both meet event {p}"
+                )
+            if a == x:
+                found = (CONTRACT if b == y else START_PASS, i)
+            else:
+                found = (END_PASS if b == y else BRANCH, i)
+        i += 1
     if found is None:
-        return Rule.NOOP, None
+        return NOOP, None
     return found
 
 
@@ -133,21 +127,21 @@ def apply_rule(state: Coloring, p: Point) -> tuple[Successor, ...]:
     interval cut in two at p, then the Keep successor.
     """
     rule, idx = classify(state, p)
-    if rule is Rule.NOOP:
-        return ((state, Rule.NOOP, None),)
+    if rule is NOOP:
+        return ((state, NOOP, None),)
     if idx is None:
         raise RuntimeError(f"rule {rule} fires at {p} on no interval")
     k = len(state)
-    if rule is Rule.START_PASS or rule is Rule.END_PASS:
+    if rule is START_PASS or rule is END_PASS:
         return ((state, rule, k),)
     before, after = state[:idx], state[idx + 1 :]
-    if rule is Rule.CONTRACT:
+    if rule is CONTRACT:
         rest = before + after
-        return ((rest, Rule.TERMINAL, None),) if k == 1 else ((rest, Rule.CONTRACT, k - 1),)
+        return ((rest, TERMINAL, None),) if k == 1 else ((rest, CONTRACT, k - 1),)
     start, end = state[idx]
     return (
-        (before + ((start, p[1]), (p[0], end)) + after, Rule.SPLIT, k),
-        (state, Rule.KEEP, k),
+        (before + ((start, p[1]), (p[0], end)) + after, SPLIT, k),
+        (state, KEEP, k),
     )
 
 
@@ -214,15 +208,12 @@ class SweepResult:
     leaves: list[Leaf]
 
 
-def reconstruct_path(
-    steps: Mapping[Point, tuple[Rule, int]], terminal: Point, params: KnotParams
-) -> DyckPath:
+def reconstruct_path(steps: Mapping[Point, Step], terminal: Point, params: KnotParams) -> DyckPath:
     """The Dyck path bounding the region one branch's intervals swept.
 
-    steps maps every non-NoOp, non-terminal event of the branch to the tag
-    and interval count of the successor it took there; terminal is the
-    point whose contraction ended it.  Events after the terminal never
-    interact with anything and are omitted.
+    steps maps every non-NoOp, non-terminal event of the branch to its
+    step; terminal is the point whose contraction ended it.  Events after
+    the terminal never interact with anything and are omitted.
 
     The Keep points are exactly the lattice points strictly between the
     path and the diagonal, and row y holds m*y//n - columns[y] of them (the
@@ -231,86 +222,181 @@ def reconstruct_path(
     the terminal must be the most distant outer corner.
     """
     m, n = params.m, params.n
-    keeps = Counter(y for (_, y), (tag, _) in steps.items() if tag is Rule.KEEP)
+    columns = [m * y // n for y in range(n)]
+    for p, (tag, _) in steps.items():
+        if tag is KEEP:
+            if not 0 <= p[1] < n:
+                raise RuntimeError(f"the Keep steps give no path: a Keep at {p} lies in no row")
+            columns[p[1]] -= 1
     try:
-        path = DyckPath(params, tuple(m * y // n - keeps[y] for y in range(n)))
+        path = DyckPath(params, tuple(columns))
     except ValueError as exc:
         # a sweep fault, not a usage error
         raise RuntimeError(f"the Keep steps give no path: {exc}") from exc
 
-    outer, inner = corners(path)
-    top = most_distant(params, outer)
-    # Keep inside, Split at inner corners, Contract at the other outer ones
-    weighted = dict.fromkeys(interior_points(path), Rule.KEEP)
-    weighted.update(dict.fromkeys(inner, Rule.SPLIT))
-    weighted.update(dict.fromkeys((p for p in outer if p != top), Rule.CONTRACT))
-    ks = k_values(path, tuple(weighted))
-    expected: dict[Point, object] = {p: (tag, k) for (p, tag), k in zip(weighted.items(), ks)}
-    # a pass is charged with the live interval count, which the path does
-    # not fix, so a pass step is compared by its tag alone
-    vertical_pass, horizontal_pass = pass_through_points(path)
-    expected.update(dict.fromkeys(vertical_pass, Rule.START_PASS))
-    expected.update(dict.fromkeys(horizontal_pass, Rule.END_PASS))
-    passes = (Rule.START_PASS, Rule.END_PASS)
+    expected, top = expected_steps(path)
+    for p, step in steps.items():
+        want = expected.get(p)
+        if step != want and not ((want is START_PASS or want is END_PASS) and step[0] is want):
+            break
+    else:
+        if len(steps) == len(expected):
+            if terminal != top:
+                raise RuntimeError(
+                    f"terminal {terminal} is not the most distant corner {top} of {path}"
+                )
+            return path
+    # the first point, in sorted order, whose step differs
+    passes = (START_PASS, END_PASS)
     got = {p: tag if tag in passes else (tag, k) for p, (tag, k) in steps.items()}
-    if got != expected:
-        p = next(p for p in sorted(got.keys() | expected.keys()) if got.get(p) != expected.get(p))
-        raise RuntimeError(
-            f"step {steps.get(p)} at {p} does not match the path {path}: "
-            f"expected {expected.get(p)}"
-        )
-    if terminal != top:
-        raise RuntimeError(
-            f"terminal {terminal} is not the most distant corner {top} of {path}"
-        )
-    return path
+    p = next(p for p in sorted(got.keys() | expected.keys()) if got.get(p) != expected.get(p))
+    raise RuntimeError(
+        f"step {steps.get(p)} at {p} does not match the path {path}: expected {expected.get(p)}"
+    )
 
 
-def branches(
-    params: KnotParams, profiles: tuple[WeightProfile, ...]
-) -> Iterator[tuple[dict[Point, tuple[Rule, int]], Point, tuple[LaurentPoly, ...]]]:
-    """The one walk over the sweep's branch tree: (steps, terminal, weights)
-    for each branch, in the order the walk finishes it.
+def expected_steps(path: DyckPath) -> tuple[dict[Point, object], Point]:
+    """The step every event must have on path, and the terminal it must end
+    at, its most distant outer corner.
+
+    Keep at the interior points, Split at the inner corners and Contract at
+    the other outer corners, each with k_of there; StartPass at the
+    vertical and EndPass at the horizontal pass-through vertices, by tag
+    alone, as a pass is charged with the live interval count, which the path
+    does not fix.  One walk over the rows finds the points that
+    dyck.corners, dyck.interior_points and dyck.pass_through_points find,
+    and counts k as dyck.k_values does, from the top offsets of the N and E
+    steps as bit sets, with its agreement guard and message.
+    """
+    params = path.params
+    m, n = params.m, params.n
+    strides = e_strides(m, n)
+    n_tops = e_tops = 0
+    expected: dict[Point, object] = {}
+    outer: list[Point] = []
+    counted: list[Point] = []
+    tags: list[Rule] = []
+    # the path runs along row y from (lo, y) to (hi, y), then up from (hi, y)
+    lo = 0
+    for y, hi in enumerate((*path.columns, m)):
+        d = m * y - n * hi
+        e_tops |= strides[hi - lo] << d
+        if y:
+            if hi > lo:
+                outer.append((lo, y))
+            else:
+                expected[lo, y] = START_PASS
+        for x in range(lo + 1, hi):
+            expected[x, y] = END_PASS
+        if y < n:
+            n_tops |= 1 << (d + m)
+            if hi > lo:
+                counted.append((hi, y))
+                tags.append(SPLIT)
+            for x in range(hi + 1, m * y // n + 1):
+                counted.append((x, y))
+                tags.append(KEEP)
+        lo = hi
+    top = most_distant(params, outer)
+    counted += [p for p in outer if p != top]
+    tags += [CONTRACT] * (len(outer) - 1)
+    n_window = (1 << (m - 1)) - 1
+    e_window = (1 << (n - 1)) - 1
+    ks = []
+    for p in counted:
+        dp = m * p[1] - n * p[0] + 1
+        vertical = (n_tops >> dp & n_window).bit_count()
+        horizontal = (e_tops >> dp & e_window).bit_count()
+        if vertical != horizontal:
+            raise ValueError(
+                f"crossing counts at {p} disagree ({vertical} vertical, {horizontal} "
+                "horizontal): the point must be an interior point or a corner"
+            )
+        ks.append(vertical)
+    expected.update(zip(counted, zip(tags, ks)))
+    return expected, top
+
+
+def branches(params: KnotParams) -> Iterator[tuple[dict[Point, Step], Point]]:
+    """The one walk over the sweep's branch tree: (steps, terminal) for
+    each branch, in the order the walk finishes it.
 
     Every event steps through apply_rule; the branch continues with the
     first successor, a second one (Keep) is pushed for later, and Terminal
     ends the branch.  steps is the branch's own {point: (tag, k)} dict,
-    never touched again after the yield; weights holds, per profile, the
-    product of its rule weights without the base, each rule's weights
-    looked up once per interval count.
+    never touched again after the yield.  The walk carries no weights.
     """
     events = event_list(params)
-    factors: dict[tuple[Rule, int], tuple[LaurentPoly, ...]] = {}
-
-    def charge(weights: tuple[LaurentPoly, ...], rule: Rule, k: int) -> tuple[LaurentPoly, ...]:
-        rule_factors = factors.get((rule, k))
-        if rule_factors is None:
-            rule_factors = factors[rule, k] = tuple(prof.weight(rule, k) for prof in profiles)
-        return tuple(w * f for w, f in zip(weights, rule_factors))
-
-    stack: list[tuple[int, Coloring, tuple[LaurentPoly, ...], dict]] = [
-        (0, initial_coloring(params), (ONE,) * len(profiles), {})
-    ]
+    last = len(events)
+    stack: list[tuple[int, Coloring, dict[Point, Step]]] = [(0, initial_coloring(params), {})]
     while stack:
-        i, state, weights, steps = stack.pop()
-        while i < len(events):
+        i, state, steps = stack.pop()
+        while i < last:
             p = events[i]
             i += 1
             successors = apply_rule(state, p)
             state, tag, k = successors[0]
-            if tag is Rule.NOOP:
+            if tag is NOOP:
                 continue
-            if tag is Rule.TERMINAL:
-                yield steps, p, weights
+            if tag is TERMINAL:
+                yield steps, p
                 break
-            for other, other_tag, other_k in successors[1:]:
-                stack.append(
-                    (i, other, charge(weights, other_tag, other_k), {**steps, p: (other_tag, other_k)})
-                )
+            if len(successors) > 1:
+                other, other_tag, other_k = successors[1]
+                stack.append((i, other, {**steps, p: (other_tag, other_k)}))
             steps[p] = (tag, k)
-            weights = charge(weights, tag, k)
         else:
             raise RuntimeError("sweep exhausted its events with intervals still alive")
+
+
+def leaf_numerator(profile: WeightProfile) -> Callable[[Iterable[Step]], LaurentPoly]:
+    """The function from a branch's steps to its leaf numerator in profile:
+    the base numerator times each step's weight.
+
+    A weight with one term only scales and shifts: its coefficients multiply
+    and its exponents add.  The other weights' multiset, as a sorted tuple,
+    is multiplied out with the base once and kept for the function's
+    lifetime, one knot's evaluation.  Each step's weight is looked up once.
+    """
+    weights: dict[Step, LaurentPoly] = {}
+    monomials: dict[Step, tuple[int, int, int, int] | None] = {}
+    products: dict[tuple[Step, ...], LaurentPoly] = {}
+
+    def numerator(steps: Iterable[Step]) -> LaurentPoly:
+        coeff, ea, q2, t2 = 1, 0, 0, 0
+        others = []
+        for step in steps:
+            try:
+                term = monomials[step]
+            except KeyError:
+                weight = weights[step] = profile.weight(*step)
+                term = monomials[step] = _single_term(weight)
+            if term is None:
+                others.append(step)
+            else:
+                c, a, q, t = term
+                coeff *= c
+                ea += a
+                q2 += q
+                t2 += t
+        key = tuple(sorted(others))
+        product = products.get(key)
+        if product is None:
+            product = profile.base.num
+            for step in key:
+                product = product * weights[step]
+            products[key] = product
+        return product.times_monomial(coeff, ea, q2, t2)
+
+    return numerator
+
+
+def _single_term(poly: LaurentPoly) -> tuple[int, int, int, int] | None:
+    """(coefficient, ea, q2, t2) of a one-term poly, None for any other."""
+    if len(poly) != 1:
+        return None
+    ((ea, q2, t2), c), = poly.items()
+    return c, ea, q2, t2
 
 
 def evaluate_profiles(
@@ -319,16 +405,18 @@ def evaluate_profiles(
     """Every profile's sweep, assembled from one walk of branches.
 
     Each branch is reconstructed into its Dyck path and validated once, and
-    every profile's leaf shares that path.  The leaves come back sorted by
+    every profile's leaf shares that path; each profile weighs the branch
+    from its steps (leaf_numerator).  The leaves come back sorted by
     path (N before E), and their paths must be exactly enumerate_paths(params):
     one leaf per path.  Each leaf numerator sits over its base's (1 - t)
     power, stored once as dpow, so each total is one sum of numerators,
     normalized once.
     """
-    found = [
-        (reconstruct_path(steps, terminal, params), weights)
-        for steps, terminal, weights in branches(params, profiles)
-    ]
+    numerators = [leaf_numerator(profile) for profile in profiles]
+    found = []
+    for steps, terminal in branches(params):
+        path = reconstruct_path(steps, terminal, params)
+        found.append((path, [numerator(steps.values()) for numerator in numerators]))
     found.sort(key=lambda leaf: leaf[0].columns)
     paths = enumerate_paths(params)
     if tuple(path for path, _ in found) != paths:
@@ -336,7 +424,7 @@ def evaluate_profiles(
     results = []
     for j, profile in enumerate(profiles):
         base = profile.base
-        leaves = [Leaf(path, weights[j] * base.num) for path, weights in found]
+        leaves = [Leaf(path, nums[j]) for path, nums in found]
         total = Invariant(poly_sum([leaf.num for leaf in leaves]), base.dpow)
         results.append(SweepResult(params, profile.name, total, base.dpow, leaves))
     return tuple(results)
@@ -345,4 +433,3 @@ def evaluate_profiles(
 def evaluate(params: KnotParams, profile: WeightProfile) -> SweepResult:
     """The sweep of one profile: evaluate_profiles with that profile alone."""
     return evaluate_profiles(params, (profile,))[0]
-

@@ -19,15 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .dyck import (
-    KnotParams,
-    corners,
-    enumerate_paths,
-    interior_points,
-    k_values,
-    opairs,
-    rational_catalan,
-)
+from .dyck import KnotParams, area, enumerate_paths, k_totals, opairs, rational_catalan
 from .formula import genus, hhh_direct, hhh_terms, path_data, superpolynomial
 from .laurent import (
     A,
@@ -49,17 +41,14 @@ def identity_suite(params: KnotParams) -> dict:
     i4: sum of k over inner corners = sum of k over trimmed outer corners
 
     hplus and the trimmed outer corners' k come from the closed form's
-    path_data records; the rest is computed here.
+    path_data records; the interior count is area, and the two other k
+    sums are dyck.k_totals, counted per N step rather than per point.
     """
     g = genus(params)
     rows = []
     for path, (_, hplus, ks) in zip(enumerate_paths(params), path_data(params), strict=True):
-        inner = corners(path)[1]
-        points = interior_points(path)
-        kvals = k_values(path, (*inner, *points))
-        interior = len(points)
-        k_inner = sum(kvals[: len(inner)])
-        k_interior = sum(kvals[len(inner) :])
+        interior = area(path)
+        k_interior, k_inner = k_totals(path)
         k_outer_trimmed = sum(ks)
         pairs = opairs(path)
         rows.append(
@@ -136,18 +125,17 @@ def leaf_ratio_report(params: KnotParams, hhh: SweepResult, toric: SweepResult) 
     if hhh.dpow != 1 or toric.dpow != 0:
         raise RuntimeError(f"the leaves of {params} are not polynomial")
     one_minus_a = ONE - A
+    # few leaves have a ratio of their own, so each distinct one is rendered once
+    texts: dict[Optional[LaurentPoly], str] = {None: "not a monomial"}
     leaves = []
     for h_leaf, t_leaf in zip(hhh.leaves, toric.leaves):
         if h_leaf.path != t_leaf.path:
             raise RuntimeError(f"leaf paths differ: {h_leaf.path} vs {t_leaf.path}")
         ratio = monomial_ratio(t_leaf.num, one_minus_a * h_leaf.num)
-        leaves.append(
-            {
-                "path": str(h_leaf.path),
-                "is_monomial": ratio is not None,
-                "ratio": "not a monomial" if ratio is None else ratio.text(),
-            }
-        )
+        text = texts.get(ratio)
+        if text is None:
+            text = texts[ratio] = ratio.text()
+        leaves.append({"path": str(h_leaf.path), "is_monomial": ratio is not None, "ratio": text})
     all_monomial = all(leaf["is_monomial"] for leaf in leaves)
     # the sweep starts from one interval on the n strands of the braid
     n = params.n

@@ -16,10 +16,11 @@ def branches_by_path(params, profiles):
     Each value is (steps, terminal, nums), nums holding per profile the
     base numerator times the product of profile.weight(tag, k) over that
     branch's own steps: recomputed here branch by branch, with no memo and
-    nothing shared between branches, independently of the walk's weights.
+    nothing shared between branches, independently of evaluate_profiles'
+    factored weights.
     """
     out = {}
-    for steps, terminal, _ in branches(params, profiles):
+    for steps, terminal in branches(params):
         nums = []
         for profile in profiles:
             num = profile.base.num

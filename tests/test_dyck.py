@@ -17,6 +17,7 @@ from khr.dyck import (
     hplus,
     interior_points,
     k_of,
+    k_totals,
     k_values,
     most_distant,
     opairs,
@@ -285,6 +286,28 @@ class TestRewrittenStatistics:
                 assert k_values(p, vstar(p)) == tuple(expected), word
                 checked += 1
         assert checked == sum(rational_catalan(q) for q in coprime_pairs(13))
+
+    def test_k_totals_against_the_oracle(self):
+        # k_totals counts per N step; the oracle counts each interior point
+        # and inner corner on its own, in Fraction arithmetic
+        for params in coprime_pairs(13):
+            m, n = params.m, params.n
+            for p in enumerate_paths(params):
+                word = str(p)
+                _, inner = brute_corners(word)
+                sums = []
+                for points in (brute_interior(m, n, word), inner):
+                    counts = [brute_k(m, n, word, v) for v in points]
+                    assert all(bv == bh for bv, bh in counts)
+                    sums.append(sum(bv for bv, _ in counts))
+                assert k_totals(p) == tuple(sums), word
+
+    def test_k_totals_are_sums_of_k_values(self):
+        for params in coprime_pairs(15):
+            for p in enumerate_paths(params):
+                inner = corners(p)[1]
+                interior = interior_points(p)
+                assert k_totals(p) == (sum(k_values(p, interior)), sum(k_values(p, inner))), p
 
     def test_k_values_is_k_of_at_each_point(self):
         p = path(5, 3, "NENNEEEE")

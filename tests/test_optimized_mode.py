@@ -88,6 +88,12 @@ def keep_added():
     sweep.reconstruct_path(steps, (1, 2), KnotParams(3, 2))
 
 
+def keep_in_row_n():
+    # the EndPass at (2, 2), in the top row n = 2, retagged as a Keep
+    steps = {**NENEE_STEPS, (2, 2): (sweep.Rule.KEEP, 2)}
+    sweep.reconstruct_path(steps, (1, 2), KnotParams(3, 2))
+
+
 def wrong_leaf_count(edit):
     # the two leaves of (3, 2) against an edited list of its paths
     enumerate_paths = sweep.enumerate_paths
@@ -123,6 +129,8 @@ checks = [
     ("tampered record", tampered_record),
     ("foreign step tag", foreign_step_tag),
     ("keep added", keep_added),
+    ("keep in row n", keep_in_row_n),
+    ("step map k agreement", lambda: sweep.expected_steps(link_path(4, 2, "NNEEEE"))),
     ("leaf path missing", lambda: wrong_leaf_count(lambda paths: paths[1:])),
     ("leaf path twice", lambda: wrong_leaf_count(lambda paths: paths[:1] + paths)),
     ("walk corner collision", lambda: walk_guard(2, 2, "collide")),
@@ -176,6 +184,8 @@ def test_guards_raise_under_optimize():
         "tampered record RuntimeError",
         "foreign step tag RuntimeError",
         "keep added RuntimeError",
+        "keep in row n RuntimeError",
+        "step map k agreement ValueError",
         "leaf path missing RuntimeError",
         "leaf path twice RuntimeError",
         "walk corner collision RuntimeError",

@@ -6,18 +6,33 @@ from hypothesis import given, settings, strategies as st
 
 import khr.laurent
 import khr.sweep
-from khr.dyck import KnotParams, coprime_pairs, distance, k_of, rational_catalan
+from khr.dyck import (
+    DyckPath,
+    KnotParams,
+    coprime_pairs,
+    corners,
+    distance,
+    enumerate_paths,
+    interior_points,
+    k_of,
+    k_values,
+    most_distant,
+    pass_through_points,
+    rational_catalan,
+)
 from khr.laurent import A, Invariant, LaurentPoly, ONE, T, q_power
 from khr.sweep import (
     HHH_PROFILE,
     Rule,
     TORIC_PROFILE,
+    WeightProfile,
     apply_rule,
     branches,
     classify,
     evaluate,
     evaluate_profiles,
     event_list,
+    expected_steps,
     initial_coloring,
     reconstruct_path,
 )
@@ -287,6 +302,39 @@ class TestSharedTraversal:
             for h_leaf, t_leaf in zip(hhh.leaves, toric.leaves, strict=True):
                 assert h_leaf.path is t_leaf.path
 
+    def test_pluggable_profile(self):
+        # a profile the factored weights were not written for: Keep's weight
+        # has two terms and Contract's is a monomial, and the one-term
+        # weights carry coefficients other than 1
+        profiles = (HHH_PROFILE, TWO_TERM_KEEP)
+        for params in coprime_pairs(12):
+            branches = branches_by_path(params, profiles)
+            for j, result in enumerate(evaluate_profiles(params, profiles)):
+                assert len(branches) == len(result.leaves)
+                for leaf in result.leaves:
+                    assert branches[str(leaf.path)][2][j] == leaf.num
+                fold = functools.reduce(
+                    operator.add,
+                    (Invariant(leaf.num, result.dpow) for leaf in result.leaves),
+                    Invariant(LaurentPoly(), 0),
+                )
+                assert result.total == fold
+
+
+# Keep weighs two terms, Contract one; Split's coefficient is 2 and
+# StartPass's -3, so a leaf's coefficient is a product of several
+TWO_TERM_KEEP = WeightProfile(
+    name="two-term Keep",
+    weights={
+        Rule.CONTRACT: lambda k: mono(-1, ea=1, q2=2 * k),
+        Rule.START_PASS: lambda k: mono(-3, t2=k),
+        Rule.END_PASS: lambda k: mono(1, q2=k, t2=-1),
+        Rule.SPLIT: lambda k: mono(2, q2=-k),
+        Rule.KEEP: lambda k: T + q_power(k),
+    },
+    base=Invariant(ONE - A, 1),
+)
+
 
 class TestEvaluateToric:
     def test_trefoil_total(self):
@@ -321,8 +369,11 @@ class TestReconstruction:
         assert steps[(1, 1)] == (Rule.KEEP, 1)
         assert terminal == (0, 2)
         steps, terminal = walked_record(KnotParams(3, 2), "NENEE")
-        assert steps[(1, 1)] == (Rule.SPLIT, 1)
-        assert steps[(0, 1)] == (Rule.CONTRACT, 1)
+        assert steps == {
+            (1, 1): (Rule.SPLIT, 1),
+            (2, 2): (Rule.END_PASS, 2),
+            (0, 1): (Rule.CONTRACT, 1),
+        }
         assert terminal == (1, 2)
 
     def test_reconstruct_round_trip(self):
@@ -330,7 +381,7 @@ class TestReconstruction:
         paths = sorted(
             (
                 reconstruct_path(steps, terminal, params)
-                for steps, terminal, _ in branches(params, (HHH_PROFILE,))
+                for steps, terminal in branches(params)
             ),
             key=lambda path: path.columns,
         )
@@ -339,16 +390,51 @@ class TestReconstruction:
         ]
 
     @pytest.mark.parametrize(
-        "changes, terminal, message",
+        "word, changes, terminal, message",
         [
-            ({}, (0, 1), r"terminal \(0, 1\)"),
-            ({(1, 1): (Rule.SPLIT, 7)}, None, r"at \(1, 1\)"),
-            ({(0, 2): (Rule.NOOP, None)}, None, r"at \(0, 2\)"),
-            ({(0, 2): (Rule.TERMINAL, None)}, None, r"at \(0, 2\)"),
-            ({(0, 2): (Rule.BRANCH, 1)}, None, r"at \(0, 2\)"),
-            ({(2, 2): (Rule.START_PASS, 2)}, None, r"at \(2, 2\)"),
-            ({(0, 1): None}, None, r"at \(0, 1\)"),
-            ({(1, 0): (Rule.KEEP, 1)}, None, r"Keep steps give no path"),
+            ("NENEE", {}, (0, 1), r"terminal \(0, 1\)"),
+            ("NENEE", {(1, 1): (Rule.SPLIT, 7)}, None, r"at \(1, 1\)"),
+            ("NENEE", {(0, 2): (Rule.NOOP, None)}, None, r"at \(0, 2\)"),
+            ("NENEE", {(0, 2): (Rule.TERMINAL, None)}, None, r"at \(0, 2\)"),
+            ("NENEE", {(0, 2): (Rule.BRANCH, 1)}, None, r"at \(0, 2\)"),
+            ("NENEE", {(2, 2): (Rule.START_PASS, 2)}, None, r"at \(2, 2\)"),
+            ("NENEE", {(0, 1): None}, None, r"at \(0, 1\)"),
+            ("NENEE", {(1, 0): (Rule.KEEP, 1)}, None, r"Keep steps give no path"),
+            # the Keep of row 1 moved from the interior point (1, 1) to the
+            # pass-through vertex (0, 1): the Keep counts still give the path
+            (
+                "NNEEENEE",
+                {(0, 1): (Rule.KEEP, 2), (1, 1): None},
+                None,
+                r"step \(<Rule.KEEP: 'Keep'>, 2\) at \(0, 1\) does not match the path NNEEENEE",
+            ),
+            # a StartPass at the interior point (1, 1): row 1 has no Keep
+            # left, and the path the counts give differs first at (0, 1)
+            (
+                "NNEEENEE",
+                {(1, 1): (Rule.START_PASS, 2)},
+                None,
+                r"at \(0, 1\) does not match the path NENEENEE",
+            ),
+            (
+                "NNEEENEE",
+                {(3, 3): (Rule.CONTRACT, 2)},
+                None,
+                r"at \(3, 3\) .* expected \(<Rule.CONTRACT: 'Contract'>, 1\)",
+            ),
+            (
+                "NNEEENEE",
+                {(0, 1): (Rule.END_PASS, 2), (1, 2): (Rule.START_PASS, 1)},
+                None,
+                r"at \(0, 1\) .* expected Rule.START_PASS",
+            ),
+            # the EndPass at (2, 2), in row n, becomes a Keep, which no row holds
+            (
+                "NENEE",
+                {(2, 2): (Rule.KEEP, 2)},
+                None,
+                r"the Keep steps give no path: a Keep at \(2, 2\)",
+            ),
         ],
         ids=[
             "terminal-moved",
@@ -359,15 +445,56 @@ class TestReconstruction:
             "end-pass-retagged",
             "contract-dropped",
             "keep-added",
+            "keep-at-pass",
+            "start-pass-inside",
+            "contract-k",
+            "passes-swapped",
+            "keep-in-row-n",
         ],
     )
-    def test_tampered_record_rejected(self, changes, terminal, message):
-        # one edit of the (3,2) NENEE branch: a step replaced, added or
-        # (None) dropped, or the terminal moved
-        params = KnotParams(3, 2)
-        steps, walked_terminal = walked_record(params, "NENEE")
-        assert steps[2, 2] == (Rule.END_PASS, 2) and steps[0, 1] == (Rule.CONTRACT, 1)
-        assert str(reconstruct_path(steps, walked_terminal, params)) == "NENEE"
+    def test_tampered_record_rejected(self, word, changes, terminal, message):
+        # one edit of a walked branch: steps replaced, added or (None)
+        # dropped, or the terminal moved
+        params = KnotParams(word.count("E"), word.count("N"))
+        steps, walked_terminal = walked_record(params, word)
+        assert str(reconstruct_path(steps, walked_terminal, params)) == word
+        assert all(steps.get(p) != step for p, step in changes.items())
         tampered = {p: step for p, step in {**steps, **changes}.items() if step is not None}
         with pytest.raises(RuntimeError, match=message):
             reconstruct_path(tampered, terminal or walked_terminal, params)
+
+    def test_pass_step_k_is_free(self):
+        # the path does not fix the interval count at a pass, so any k is
+        # accepted there; at every other step k is checked
+        params = KnotParams(5, 3)
+        steps, terminal = walked_record(params, "NNEEENEE")
+        assert steps[0, 1] == (Rule.START_PASS, 2) and steps[2, 2] == (Rule.END_PASS, 2)
+        changed = {**steps, (0, 1): (Rule.START_PASS, 7), (2, 2): (Rule.END_PASS, 0)}
+        assert str(reconstruct_path(changed, terminal, params)) == "NNEEENEE"
+
+    def test_expected_steps_checks_k_agreement(self):
+        # on a link, where lattice points share offsets, the two crossing
+        # counts of an interior point can differ
+        params = object.__new__(KnotParams)
+        object.__setattr__(params, "m", 4)
+        object.__setattr__(params, "n", 2)
+        path = DyckPath.from_string(params, "NNEEEE")
+        with pytest.raises(ValueError, match=r"crossing counts at \(1, 1\) disagree"):
+            expected_steps(path)
+
+    def test_expected_steps_match_the_path_statistics(self):
+        # the one-walk step map against dyck's corners, interior points,
+        # pass-through vertices, most distant corner and k_values
+        for params in coprime_pairs(14):
+            for path in enumerate_paths(params):
+                outer, inner = corners(path)
+                top = most_distant(params, outer)
+                vertical, horizontal = pass_through_points(path)
+                tagged = [(p, Rule.KEEP) for p in interior_points(path)]
+                tagged += [(p, Rule.SPLIT) for p in inner]
+                tagged += [(p, Rule.CONTRACT) for p in outer if p != top]
+                ks = k_values(path, tuple(p for p, _ in tagged))
+                want = {p: (tag, k) for (p, tag), k in zip(tagged, ks)}
+                want.update(dict.fromkeys(vertical, Rule.START_PASS))
+                want.update(dict.fromkeys(horizontal, Rule.END_PASS))
+                assert expected_steps(path) == (want, top), path

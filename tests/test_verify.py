@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import khr.verify
-from khr.dyck import KnotParams, coprime_pairs
+from khr.dyck import KnotParams, coprime_pairs, enumerate_paths
 from khr.formula import hhh_direct, path_data
-from khr.laurent import Invariant, ONE, T
+from khr.laurent import Invariant, LaurentPoly, ONE, T
 from khr.sweep import HHH_PROFILE, TORIC_PROFILE, Leaf, evaluate, evaluate_profiles
 from khr.verify import (
     catalan_check,
@@ -259,6 +259,24 @@ class TestSharedSweep:
             for params in knots:
                 assert run_suite(params, suites=suites)["overall_pass"]
             assert traversals == ([] if names is None else [(p, names) for p in knots])
+
+    def test_few_polynomial_products(self, monkeypatch):
+        # a leaf's one-term weights only shift its exponents, so the products
+        # left are the other weights' multisets, one per knot, and one per
+        # leaf in the ratio table; per-step products would be over 13,000
+        products = []
+        multiply = LaurentPoly.__mul__
+
+        def counting_mul(self, other):
+            products.append(1)
+            return multiply(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+        monkeypatch.setattr(LaurentPoly, "__rmul__", counting_mul)
+        for cached in (enumerate_paths, path_data, hhh_direct):
+            cached.cache_clear()
+        assert run_suite(KnotParams(9, 7))["overall_pass"]
+        assert 0 < len(products) < 2500
 
     def test_given_sweep_matches_fresh(self):
         # sweeps of one profile each give the same reports as the shared one
