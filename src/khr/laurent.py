@@ -46,9 +46,6 @@ class LaurentPoly:
     def sorted_items(self) -> list[tuple[ExponentTriple, int]]:
         return sorted(self._terms.items())
 
-    def coeff(self, exp: ExponentTriple) -> int:
-        return self._terms.get(exp, 0)
-
     def __len__(self) -> int:
         return len(self._terms)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .dyck import DyckPath, KnotParams, Point, distance, e_strides, enumerate_paths, most_distant
+from .dyck import DyckPath, KnotParams, Point, distance, enumerate_paths, k_values, most_distant
 from .laurent import A, Invariant, LaurentPoly, ONE, T, poly_sum, q_power
 
 
@@ -265,13 +265,10 @@ def expected_steps(path: DyckPath) -> tuple[dict[Point, object], Point]:
     alone, as a pass is charged with the live interval count, which the path
     does not fix.  One walk over the rows finds the points that
     dyck.corners, dyck.interior_points and dyck.pass_through_points find,
-    and counts k as dyck.k_values does, from the top offsets of the N and E
-    steps as bit sets, with its agreement guard and message.
+    and dyck.k_values counts k at the Keep, Split and Contract points.
     """
     params = path.params
     m, n = params.m, params.n
-    strides = e_strides(m, n)
-    n_tops = e_tops = 0
     expected: dict[Point, object] = {}
     outer: list[Point] = []
     counted: list[Point] = []
@@ -279,8 +276,6 @@ def expected_steps(path: DyckPath) -> tuple[dict[Point, object], Point]:
     # the path runs along row y from (lo, y) to (hi, y), then up from (hi, y)
     lo = 0
     for y, hi in enumerate((*path.columns, m)):
-        d = m * y - n * hi
-        e_tops |= strides[hi - lo] << d
         if y:
             if hi > lo:
                 outer.append((lo, y))
@@ -289,7 +284,6 @@ def expected_steps(path: DyckPath) -> tuple[dict[Point, object], Point]:
         for x in range(lo + 1, hi):
             expected[x, y] = END_PASS
         if y < n:
-            n_tops |= 1 << (d + m)
             if hi > lo:
                 counted.append((hi, y))
                 tags.append(SPLIT)
@@ -300,20 +294,7 @@ def expected_steps(path: DyckPath) -> tuple[dict[Point, object], Point]:
     top = most_distant(params, outer)
     counted += [p for p in outer if p != top]
     tags += [CONTRACT] * (len(outer) - 1)
-    n_window = (1 << (m - 1)) - 1
-    e_window = (1 << (n - 1)) - 1
-    ks = []
-    for p in counted:
-        dp = m * p[1] - n * p[0] + 1
-        vertical = (n_tops >> dp & n_window).bit_count()
-        horizontal = (e_tops >> dp & e_window).bit_count()
-        if vertical != horizontal:
-            raise ValueError(
-                f"crossing counts at {p} disagree ({vertical} vertical, {horizontal} "
-                "horizontal): the point must be an interior point or a corner"
-            )
-        ks.append(vertical)
-    expected.update(zip(counted, zip(tags, ks)))
+    expected.update(zip(counted, zip(tags, k_values(path, tuple(counted)))))
     return expected, top
 
 

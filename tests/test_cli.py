@@ -419,3 +419,41 @@ class TestCatalanCommand:
             "paths": 3,
             "specialization": 3,
         }
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["verify"], "verify needs m n or --range 'msum<=K'\n"),
+        (["verify", "3", "2", "--range", "msum<=4"], "give either m n or --range, not both\n"),
+        (["verify", "--range", "msum<=1"], "range 'msum<=1' selects no knot\n"),
+        (
+            ["verify", "--range", "msum<=100000"],
+            "(13,11) has 104006 Dyck paths, above the --max-leaves bound 100000; refusing to run\n",
+        ),
+        (["cache", "info"], "no cache directory; set --cache-dir or KHR_CACHE_DIR\n"),
+        (
+            ["compute", "13", "12", "--max-leaves", "5"],
+            "(13,12) has 208012 Dyck paths, above the --max-leaves bound 5; refusing to run\n",
+        ),
+        (
+            ["paths", "9", "7", "--max-leaves", "3"],
+            "(9,7) has 715 Dyck paths, above the --max-leaves bound 3; refusing to run\n",
+        ),
+        (
+            ["catalan", "17", "16", "--check"],
+            "(17,16) has 35357670 Dyck paths, above the --max-leaves bound 10000000; refusing to run\n",
+        ),
+        (["verify", "--range", "msum<=abc"], "error: range must look like 'msum<=K', got 'msum<=abc'\n"),
+        (
+            ["catalan", "100000", "99999"],
+            "error: (100000,99999) has at least 10^4300 Dyck paths, more than the 4300-digit "
+            "integer string limit; refusing to run\n",
+        ),
+    ],
+)
+def test_refusal_bytes(capsys, monkeypatch, argv, err):
+    # every refusal, byte for byte: its message alone on stderr, nothing on
+    # stdout, exit 2
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    assert run(capsys, *argv) == (2, "", err)
