@@ -14,9 +14,10 @@ used anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
+
+from .values import FrozenRecord
 
 Point = tuple[int, int]
 
@@ -25,12 +26,17 @@ class LinksUnsupported(ValueError):
     """Parameters with gcd(m, n) > 1 describe a torus link, not a knot."""
 
 
-@dataclass(frozen=True)
-class KnotParams:
+class KnotParams(FrozenRecord):
     """Torus-knot parameters: m horizontal units, n vertical units."""
 
+    __slots__ = _fields = ("m", "n")
     m: int
     n: int
+
+    def __init__(self, m: int, n: int) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
@@ -73,14 +79,19 @@ def coprime_pairs(max_sum: int) -> list[KnotParams]:
     return list(iter_coprime_pairs(max_sum))
 
 
-@dataclass(frozen=True, slots=True)
-class DyckPath:
+class DyckPath(FrozenRecord):
     """A single (m, n)-Dyck path, stored as its row columns: columns[y] is
     the x-coordinate of the N step in row y = 0 .. n-1.  str(path) is its
     N/E word, and tuple order on columns is the word order with N < E."""
 
+    __slots__ = _fields = ("params", "columns")
     params: KnotParams
     columns: tuple[int, ...]
+
+    def __init__(self, params: KnotParams, columns: tuple[int, ...]) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "columns", columns)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         m, n = self.params.m, self.params.n

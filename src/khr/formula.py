@@ -51,66 +51,89 @@ def records(params: KnotParams) -> Iterator[PathRecord]:
 
     A stack entry is a prefix of rows 0 .. y: its last column x, its area,
     its hplus, the top offsets of its E and N steps as bit sets (as in
-    dyck.hplus and dyck.k_values), and its outer corners so far, each with
-    its offset, plus those offsets as a bit set.  Expanding a prefix steps
+    dyck.hplus and dyck.k_values), the offsets of its outer corners so far,
+    those corners, and their offsets as a bit set.  Expanding a prefix steps
     each child row y+1 at column nx, high nx first, so that prefixes pop in
     enumeration order.  The row's E steps from x to nx top out at d + n,
     d + 2n, .., d + n(nx - x), with d = m*(y+1) - n*nx, and row y's N step
-    ends in an outer corner iff nx > x.  At a leaf the final row's E steps
-    and the last corner (x, n) complete the path.  The guards are those of
-    dyck.hplus, dyck.most_distant and dyck.k_values, with their messages.
+    ends in an outer corner iff nx > x.  The walk starts from an empty
+    prefix at row -1, whose one child is row 0's N step from the origin.
+
+    The children of a prefix of rows 0 .. n-2 are whole paths: after the
+    row step of every child, high nx first, each is completed in place, low
+    nx first, by the final row's E steps and the last corner (nx, n).  The
+    guards are those of dyck.hplus, dyck.most_distant and dyck.k_values,
+    with their messages.
     """
     m, n = params.m, params.n
     last = n - 1
     stride = e_strides(m, n)
     window = (1 << (m + n - 1)) - 1
     contact = 1 | 1 << (m + n)
-    n_window = (1 << (m - 1)) - 1
-    e_window = (1 << (n - 1)) - 1
-    # row 0: the N step from the origin, which tops out at offset m
-    stack = [(0, 0, 0, 0, 0, 1 << m, (), 0)]
+    # the k windows, one bit up: offset dp's window is bits dp+1 .. of (tops >> dp)
+    n_window = ((1 << (m - 1)) - 1) << 1
+    e_window = ((1 << (n - 1)) - 1) << 1
+    mn = m * n
+    stack = [(-1, 0, 0, 0, 0, 0, (), (), 0)]
     pop, push = stack.pop, stack.append
     while stack:
-        y, x, area_, hplus_, e_tops, n_tops, outer, corner_bits = pop()
+        y, x, area_, hplus_, e_tops, n_tops, outer, points, corner_bits = pop()
+        y += 1
+        my = m * y
+        top = my // n
+        corner = my - n * x
         if y < last:
-            y += 1
-            my = m * y
-            top = my // n
-            corner = my - n * x
             for nx in range(top, x - 1, -1):
                 d = my - n * nx
                 e = e_tops | stride[nx - x] << d
                 s = e >> d
                 if s & contact:
                     raise RuntimeError("degenerate offset-interval contact")
-                o, o_bits = outer, corner_bits
-                if nx > x:
-                    o += ((corner, (x, y)),)
-                    o_bits |= 1 << corner
                 h = hplus_ + ((s >> 1) & window).bit_count()
-                push((y, nx, area_ + top - nx, h, e, n_tops | 1 << (d + m), o, o_bits))
+                n_t = n_tops | 1 << (d + m)
+                if nx > x:
+                    push((y, nx, area_ + top - nx, h, e, n_t, outer + (corner,),
+                          points + ((x, y),), corner_bits | 1 << corner))
+                else:
+                    push((y, nx, area_ + top - nx, h, e, n_t, outer, points, corner_bits))
             continue
-        corner = m * n - n * x
-        outer += ((corner, (x, n)),)
-        # corners at equal offsets share a bit
-        if (corner_bits | 1 << corner).bit_count() != len(outer):
-            raise RuntimeError(f"corner distances collide: {[dp for dp, _ in outer]}")
-        e_tops |= stride[m - x]
-        top = max(outer)[0]
-        ks = []
-        for dp, p in outer:
-            if dp == top:
-                continue
-            vertical = ((n_tops >> (dp + 1)) & n_window).bit_count()
-            horizontal = ((e_tops >> (dp + 1)) & e_window).bit_count()
-            if vertical != horizontal:
-                raise ValueError(
-                    f"crossing counts at {p} disagree ({vertical} vertical, {horizontal} "
-                    "horizontal): the point must be an interior point or a corner"
-                )
-            ks.append(vertical)
-        ks.sort()
-        yield area_, hplus_, tuple(ks)
+        steps = []
+        for nx in range(top, x - 1, -1):
+            d = my - n * nx
+            e = e_tops | stride[nx - x] << d
+            s = e >> d
+            if s & contact:
+                raise RuntimeError("degenerate offset-interval contact")
+            steps.append((nx, d, e, ((s >> 1) & window).bit_count()))
+        area_ += top
+        with_corner = outer + (corner,)
+        with_corner_bits = corner_bits | 1 << corner
+        for nx, d, e, crossed in reversed(steps):
+            o, o_bits = (with_corner, with_corner_bits) if nx > x else (outer, corner_bits)
+            final = mn - n * nx
+            o += (final,)
+            # corners at equal offsets share a bit
+            if (o_bits | 1 << final).bit_count() != len(o):
+                raise RuntimeError(f"corner distances collide: {list(o)}")
+            e |= stride[m - nx]
+            n_t = n_tops | 1 << (d + m)
+            highest = max(o)
+            ks = []
+            for dp in o:
+                if dp == highest:
+                    continue
+                vertical = (n_t >> dp & n_window).bit_count()
+                horizontal = (e >> dp & e_window).bit_count()
+                if vertical != horizontal:
+                    corners = (*points, (x, y), (nx, n)) if nx > x else (*points, (nx, n))
+                    raise ValueError(
+                        f"crossing counts at {corners[o.index(dp)]} disagree ({vertical} "
+                        f"vertical, {horizontal} horizontal): the point must be an interior "
+                        "point or a corner"
+                    )
+                ks.append(vertical)
+            ks.sort()
+            yield area_ - nx, hplus_ + crossed, tuple(ks)
 
 
 @lru_cache(maxsize=8)
@@ -159,43 +182,53 @@ def hhh_path_term(path: DyckPath) -> LaurentPoly:
     return _term(path_record(path), genus(path.params))
 
 
-def _expanded(records: Iterable[PathRecord]) -> Iterator[tuple[PathRecord, CornerProduct]]:
-    """(record, hhh_corner_product(ks)) for each record, expanding each
-    k-multiset once.
+def _assemble(records: Iterable[PathRecord], g: int) -> LaurentPoly:
+    """Sum of the summands of records, by Horner's rule over shared k-prefixes.
+
+    Equal records are counted once with their multiplicity.  Each k tuple
+    (ascending) starts with the terms t^area q^(hplus - g - sum k) of its
+    records.  Taken from the longest tuple to the shortest, each tuple's
+    terms are multiplied by (q^k - a) for its last, largest k and added into
+    its prefix's, so the corner factors of a shared prefix are multiplied
+    out once; the empty tuple's terms are then the sum.
+    """
+    by_ks: dict[tuple[int, ...], dict[tuple[int, int, int], int]] = {}
+    for (area_, hplus_, ks), count in Counter(records).items():
+        terms = by_ks.get(ks)
+        if terms is None:
+            terms = by_ks[ks] = {}
+            # every prefix of ks gets its entry before the pass below
+            for i in range(len(ks)):
+                by_ks.setdefault(ks[:i], {})
+        terms[0, 2 * (hplus_ - g - sum(ks)), 2 * area_] = count
+    for ks in sorted(by_ks, key=len, reverse=True):
+        if not ks:
+            break
+        terms = by_ks.pop(ks)
+        out = by_ks[ks[:-1]]
+        get = out.get
+        q2k = 2 * ks[-1]
+        for (ea, q2, t2), c in terms.items():
+            key = (ea, q2 + q2k, t2)
+            out[key] = get(key, 0) + c
+            key = (ea + 1, q2, t2)
+            out[key] = get(key, 0) - c
+    return LaurentPoly(by_ks.get((), {}))
+
+
+def hhh_terms(params: KnotParams) -> Iterator[LaurentPoly]:
+    """hhh_path_term of every path of params, in enumeration order,
+    expanding each k-multiset's corner product once.
 
     The memo lives as long as the iteration, so nothing outlives the call.
     """
+    g = genus(params)
     products: dict[tuple[int, ...], CornerProduct] = {}
-    for record in records:
+    for record in path_data(params):
         ks = record[2]
         expanded = products.get(ks)
         if expanded is None:
             expanded = products[ks] = hhh_corner_product(ks)
-        yield record, expanded
-
-
-def _assemble(records: Iterable[PathRecord], g: int) -> LaurentPoly:
-    """Sum of the summands of records.
-
-    Equal records are summed once with their multiplicity, and the terms
-    accumulate under plain tuple keys.
-    """
-    counts = Counter(records)
-    acc: dict[tuple[int, int, int], int] = {}
-    get = acc.get
-    for record, expanded in _expanded(counts):
-        count = counts[record]
-        q2, t2 = _hhh_shift(record, g)
-        for (ea, q), c in expanded.items():
-            key = (ea, q + q2, t2)
-            acc[key] = get(key, 0) + count * c
-    return LaurentPoly(acc)
-
-
-def hhh_terms(params: KnotParams) -> Iterator[LaurentPoly]:
-    """hhh_path_term of every path of params, in enumeration order."""
-    g = genus(params)
-    for record, expanded in _expanded(path_data(params)):
         yield _shifted(expanded, *_hhh_shift(record, g))
 
 

@@ -17,8 +17,9 @@ Term order everywhere (serialization, rendering) is lexicographic on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
+
+from .values import FrozenRecord
 
 # exponent key of one term: (a-power, doubled q-power, doubled t-power)
 ExponentTriple = tuple[int, int, int]
@@ -151,13 +152,21 @@ class LaurentPoly:
         if not self._terms:
             return "0"
         parts: list[str] = []
+        # (symbol, doubled exponent) -> its spelling, built once per call
+        spelled: dict[tuple[str, int], str] = {}
         for (ea, q2, t2), c in self.sorted_items():
             powers = [("a", 2 * ea), ("q", q2), ("t", t2)]
             if latex and q2 % 2 and t2 % 2:
                 # factor one (qt)^(1/2), signed to keep the leftovers small
                 half = 1 if q2 > 0 else -1
                 powers[1:] = [("(qt)", half), ("q", q2 - half), ("t", t2 - half)]
-            factors = [_power(sym, e, latex) for sym, e in powers if e]
+            factors = []
+            for power in powers:
+                if power[1]:
+                    spelling = spelled.get(power)
+                    if spelling is None:
+                        spelling = spelled[power] = _power(*power, latex)
+                    factors.append(spelling)
             if abs(c) != 1 or not factors:
                 factors.insert(0, str(abs(c)))
             if parts:
@@ -272,12 +281,17 @@ def divide_exact_by_one_minus_t(p: LaurentPoly) -> LaurentPoly:
     return _from_terms(out)
 
 
-@dataclass(frozen=True)
-class Invariant:
+class Invariant(FrozenRecord):
     """A Laurent polynomial divided by (1 - t)^dpow, kept in lowest terms."""
 
+    __slots__ = _fields = ("num", "dpow")
     num: LaurentPoly
-    dpow: int = 0
+    dpow: int
+
+    def __init__(self, num: LaurentPoly, dpow: int = 0) -> None:
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "dpow", dpow)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.dpow < 0:

@@ -97,11 +97,11 @@ def test_criterion_02_every_knot_to_msum_12_rederived_by_brute_force():
 
 def test_criterion_03_cross_evaluator_oracle():
     failures = []
-    for params in coprime_pairs(14):
+    for params in coprime_pairs(17):
         check = cross_check(params, evaluate(params, HHH_PROFILE))
         if not check["pass"]:
             failures.append((params.m, params.n, check["mismatches"][:2]))
-    _report("3 closed form == sweep, total and leaf-by-leaf, m+n <= 14", failures)
+    _report("3 closed form == sweep, total and leaf-by-leaf, m+n <= 17", failures)
 
 
 def test_criterion_04_proof_identity_suite():

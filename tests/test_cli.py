@@ -457,3 +457,22 @@ def test_refusal_bytes(capsys, monkeypatch, argv, err):
     # stdout, exit 2
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     assert run(capsys, *argv) == (2, "", err)
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # every command pays for what `import khr.cli` loads, and dataclasses
+    # would bring inspect with it; modules the interpreter loaded before
+    # the import do not count
+    code = (
+        "import sys; before = set(sys.modules); import khr.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.split()
+    assert "khr.cli" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded

@@ -21,7 +21,7 @@ from khr.formula import (
     records,
     superpolynomial,
 )
-from khr.laurent import A, Invariant, LaurentPoly, ONE, T, ZERO, q_power
+from khr.laurent import A, Invariant, LaurentPoly, ONE, Q, T, ZERO, poly_sum, q_power
 from khr.sweep import HHH_PROFILE, evaluate
 
 mono = LaurentPoly.monomial
@@ -160,6 +160,13 @@ class TestPathData:
             assert tuple(records(params)) == expected, params
             assert hhh_direct(params) == Invariant(_assemble(expected, genus(params)), 1)
 
+    def test_direct_matches_per_path_sum(self):
+        # hhh_direct against the per-path terms added up by poly_sum, which
+        # shares no code with the records walk or _assemble's prefix pass
+        for params in coprime_pairs(16):
+            total = poly_sum(hhh_path_term(p) for p in enumerate_paths(params))
+            assert hhh_direct(params) == Invariant(total, 1), params
+
     @pytest.mark.parametrize(
         "m, n, error, text",
         [
@@ -178,6 +185,36 @@ class TestPathData:
         # NENEE: hplus 1, area 0, one trimmed corner (0, 1) with k = 1
         assert path_record(path(3, 2, "NENEE")) == (0, 1, (1,))
         assert path_record(path(3, 2, "NNEEE")) == (1, 0, ())
+
+
+class TestAssemble:
+    """_assemble's pass over shared k-prefixes against summands written out
+    by hand: a record (area, hplus, ks) stands for
+    t^area q^(hplus - g - sum ks) prod (q^k - a)."""
+
+    def test_no_records(self):
+        assert _assemble([], 0) == ZERO
+
+    def test_empty_k_tuple(self):
+        assert _assemble([(2, 3, ())], 1) == mono(1, q2=4, t2=4)
+
+    def test_repeated_records(self):
+        # (1, 2, (1,)) three times: 3 t q^(2-1) (q - a) with g = 0
+        expected = 3 * T * Q * (Q - A)
+        assert _assemble([(1, 2, (1,))] * 3, 0) == expected
+        assert _assemble([(0, 0, ()), (1, 2, (1,)), (0, 0, ())] * 2, 0) == 4 + 2 * T * Q * (Q - A)
+
+    def test_sibling_tuples(self):
+        # (1, 2) and (1, 3) share the prefix (1,), which also has a record
+        # of its own; with g = 0 every q-shift below is q^0
+        records = [(0, 1, (1,)), (1, 3, (1, 2)), (2, 4, (1, 3))]
+        a2 = mono(1, ea=2)
+        first = Q - A
+        with_two = T * (mono(1, q2=6) - A * Q * Q - A * Q + a2)
+        with_three = T * T * (mono(1, q2=8) - mono(1, ea=1, q2=6) - A * Q + a2)
+        assert _assemble(records, 0) == first + with_two + with_three
+        # without the prefix's own record, and in the other order
+        assert _assemble(records[:0:-1], 0) == with_two + with_three
 
 
 class TestComputePath:
