@@ -14,13 +14,11 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .dyck import DyckPath, KnotParams, area, e_strides, hplus, k_values, vstar
-from .laurent import Invariant, LaurentPoly
+from .laurent import A, Invariant, LaurentPoly, q_power
 
 # (area, hplus, k over the trimmed outer corners in ascending order): all a
 # path's summand depends on
 PathRecord = tuple[int, int, tuple[int, ...]]
-# a product of corner factors, as {(a-exponent, doubled q-exponent): coefficient}
-CornerProduct = dict[tuple[int, int], int]
 
 
 def genus(params: KnotParams) -> int:
@@ -59,11 +57,12 @@ def records(params: KnotParams) -> Iterator[PathRecord]:
     ends in an outer corner iff nx > x.  The walk starts from an empty
     prefix at row -1, whose one child is row 0's N step from the origin.
 
-    The children of a prefix of rows 0 .. n-2 are whole paths: after the
-    row step of every child, high nx first, each is completed in place, low
-    nx first, by the final row's E steps and the last corner (nx, n).  The
-    guards are those of dyck.hplus, dyck.most_distant and dyck.k_values,
-    with their messages.
+    The children of a prefix of rows 0 .. n-2 are whole paths: the same row
+    step lists them, high nx first, instead of pushing them, and each is
+    then completed, low nx first, by the final row's E steps and the last
+    corner (nx, n), so every child's contact guard runs before any leaf's
+    corner or crossing guard.  The guards are those of dyck.hplus,
+    dyck.most_distant and dyck.k_values, with their messages.
     """
     m, n = params.m, params.n
     last = n - 1
@@ -82,33 +81,29 @@ def records(params: KnotParams) -> Iterator[PathRecord]:
         my = m * y
         top = my // n
         corner = my - n * x
-        if y < last:
-            for nx in range(top, x - 1, -1):
-                d = my - n * nx
-                e = e_tops | stride[nx - x] << d
-                s = e >> d
-                if s & contact:
-                    raise RuntimeError("degenerate offset-interval contact")
-                h = hplus_ + ((s >> 1) & window).bit_count()
-                n_t = n_tops | 1 << (d + m)
-                if nx > x:
-                    push((y, nx, area_ + top - nx, h, e, n_t, outer + (corner,),
-                          points + ((x, y),), corner_bits | 1 << corner))
-                else:
-                    push((y, nx, area_ + top - nx, h, e, n_t, outer, points, corner_bits))
-            continue
-        steps = []
+        last_row = y == last
+        ends = []
         for nx in range(top, x - 1, -1):
             d = my - n * nx
             e = e_tops | stride[nx - x] << d
             s = e >> d
             if s & contact:
                 raise RuntimeError("degenerate offset-interval contact")
-            steps.append((nx, d, e, ((s >> 1) & window).bit_count()))
+            h = hplus_ + ((s >> 1) & window).bit_count()
+            n_t = n_tops | 1 << (d + m)
+            if last_row:
+                ends.append((nx, e, n_t, h))
+            elif nx > x:
+                push((y, nx, area_ + top - nx, h, e, n_t, outer + (corner,),
+                      points + ((x, y),), corner_bits | 1 << corner))
+            else:
+                push((y, nx, area_ + top - nx, h, e, n_t, outer, points, corner_bits))
+        if not last_row:
+            continue
         area_ += top
         with_corner = outer + (corner,)
         with_corner_bits = corner_bits | 1 << corner
-        for nx, d, e, crossed in reversed(steps):
+        for nx, e, n_t, h in reversed(ends):
             o, o_bits = (with_corner, with_corner_bits) if nx > x else (outer, corner_bits)
             final = mn - n * nx
             o += (final,)
@@ -116,7 +111,6 @@ def records(params: KnotParams) -> Iterator[PathRecord]:
             if (o_bits | 1 << final).bit_count() != len(o):
                 raise RuntimeError(f"corner distances collide: {list(o)}")
             e |= stride[m - nx]
-            n_t = n_tops | 1 << (d + m)
             highest = max(o)
             ks = []
             for dp in o:
@@ -133,7 +127,7 @@ def records(params: KnotParams) -> Iterator[PathRecord]:
                     )
                 ks.append(vertical)
             ks.sort()
-            yield area_ - nx, hplus_ + crossed, tuple(ks)
+            yield area_ - nx, h, tuple(ks)
 
 
 @lru_cache(maxsize=8)
@@ -142,32 +136,14 @@ def path_data(params: KnotParams) -> tuple[PathRecord, ...]:
     return tuple(records(params))
 
 
-def hhh_corner_product(ks: Iterable[int]) -> CornerProduct:
-    """prod over ks of (q^k - a)."""
-    out: CornerProduct = {(0, 0): 1}
-    for k in ks:
-        nxt: CornerProduct = {}
-        for (ea, q), c in out.items():
-            key = (ea, q + 2 * k)
-            nxt[key] = nxt.get(key, 0) + c
-            key = (ea + 1, q)
-            nxt[key] = nxt.get(key, 0) - c
-        out = {key: c for key, c in nxt.items() if c}
-    return out
-
-
-def _hhh_shift(record: PathRecord, g: int) -> tuple[int, int]:
-    """Doubled (q, t) exponents of t^area q^(hplus - g - sum k)."""
-    area_, hplus_, ks = record
-    return 2 * (hplus_ - g - sum(ks)), 2 * area_
-
-
-def _shifted(product: CornerProduct, q2: int, t2: int) -> LaurentPoly:
-    return LaurentPoly({(ea, q + q2, t2): c for (ea, q), c in product.items()})
-
-
 def _term(record: PathRecord, g: int) -> LaurentPoly:
-    return _shifted(hhh_corner_product(record[2]), *_hhh_shift(record, g))
+    """t^area q^(hplus - g - sum k) prod (q^k - a), multiplied out in plain
+    LaurentPoly arithmetic: the per-path reference for _assemble."""
+    area_, hplus_, ks = record
+    term = LaurentPoly.monomial(1, q2=2 * (hplus_ - g - sum(ks)), t2=2 * area_)
+    for k in ks:
+        term = term * (q_power(k) - A)
+    return term
 
 
 def path_summand(path: DyckPath) -> LaurentPoly:
@@ -218,18 +194,18 @@ def _assemble(records: Iterable[PathRecord], g: int) -> LaurentPoly:
 
 def hhh_terms(params: KnotParams) -> Iterator[LaurentPoly]:
     """hhh_path_term of every path of params, in enumeration order,
-    expanding each k-multiset's corner product once.
+    expanding each k-multiset's corner product once, by _assemble.
 
     The memo lives as long as the iteration, so nothing outlives the call.
     """
     g = genus(params)
-    products: dict[tuple[int, ...], CornerProduct] = {}
-    for record in path_data(params):
-        ks = record[2]
-        expanded = products.get(ks)
-        if expanded is None:
-            expanded = products[ks] = hhh_corner_product(ks)
-        yield _shifted(expanded, *_hhh_shift(record, g))
+    products: dict[tuple[int, ...], LaurentPoly] = {}
+    for area_, hplus_, ks in path_data(params):
+        product = products.get(ks)
+        if product is None:
+            # the record (0, sum ks, ks) at genus 0 stands for prod (q^k - a) alone
+            product = products[ks] = _assemble(((0, sum(ks), ks),), 0)
+        yield product.times_monomial(1, 0, 2 * (hplus_ - g - sum(ks)), 2 * area_)
 
 
 @lru_cache(maxsize=32)

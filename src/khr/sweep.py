@@ -37,7 +37,6 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .dyck import DyckPath, KnotParams, Point, distance, enumerate_paths, k_values, most_distant
 from .laurent import A, Invariant, LaurentPoly, ONE, T, poly_sum, q_power
-from .values import FrozenRecord, Record
 
 
 class UnsupportedConfiguration(RuntimeError):
@@ -145,24 +144,15 @@ def apply_rule(state: Coloring, p: Point) -> tuple[Successor, ...]:
     )
 
 
-class WeightProfile(FrozenRecord):
+class WeightProfile(NamedTuple):
     """Per-rule weights accumulated along a branch, times a base value at
     the end.  Weight functions receive the interval count recorded in the
     successor: the count after removal for Contract, the unchanged count
-    for the other rules.  The weights take no part in the hash."""
+    for the other rules."""
 
-    __slots__ = _fields = ("name", "weights", "base")
-    _hashed = ("name", "base")
     name: str
     weights: Mapping[Rule, Callable[[int], LaurentPoly]]
     base: Invariant
-
-    def __init__(
-        self, name: str, weights: Mapping[Rule, Callable[[int], LaurentPoly]], base: Invariant
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "base", base)
 
     def weight(self, tag: Rule, k: int) -> LaurentPoly:
         rule_weight = self.weights.get(tag)
@@ -207,22 +197,12 @@ class Leaf(NamedTuple):
     num: LaurentPoly
 
 
-class SweepResult(Record):
-    __slots__ = _fields = ("params", "profile", "total", "dpow", "leaves")
+class SweepResult(NamedTuple):
     params: KnotParams
     profile: str
     total: Invariant
     dpow: int  # the base's (1 - t) power, shared by every leaf
     leaves: list[Leaf]
-
-    def __init__(
-        self, params: KnotParams, profile: str, total: Invariant, dpow: int, leaves: list[Leaf]
-    ) -> None:
-        self.params = params
-        self.profile = profile
-        self.total = total
-        self.dpow = dpow
-        self.leaves = leaves
 
 
 def reconstruct_path(steps: Mapping[Point, Step], terminal: Point, params: KnotParams) -> DyckPath:

@@ -1,12 +1,11 @@
-"""Small value classes, built without the dataclasses module.
+"""One small frozen value base, built without the dataclasses module.
 
 Importing dataclasses also imports inspect, a large share of the command
-line's start-up.  A Record subclass names its fields in _fields, declares
-them as __slots__ and sets them in its own __init__; the base gives it a
-dataclass-style repr and equality between instances of the same class,
-field by field.  A FrozenRecord refuses assignment and deletion, so its
-__init__ sets each field with object.__setattr__, and it hashes over the
-fields named in _hashed, all of them unless it says otherwise.
+line's start-up.  A FrozenRecord subclass names its fields in _fields,
+declares them as __slots__ and sets each with object.__setattr__ in its own
+__init__; the base gives it a dataclass-style repr, equality between
+instances of the same class and a hash, field by field, and refuses
+assignment and deletion.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 
-class Record:
+class FrozenRecord:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
@@ -23,23 +22,18 @@ class Record:
         if "_fields" in cls.__dict__:
             # attrgetter objects are not descriptors: self._key(self) works as is
             cls._key = attrgetter(*cls._fields)
-            cls._hash_key = attrgetter(*getattr(cls, "_hashed", cls._fields))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self._key(self) == self._key(other)
         return NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
-
-
-class FrozenRecord(Record):
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._hash_key(self))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

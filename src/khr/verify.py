@@ -163,9 +163,10 @@ def run_suite(
     external_strict: bool = True,
     suites: Optional[set[str]] = None,
 ) -> dict:
-    """Run the selected suites (all by default) for one pair and return its
-    report: each suite's section under its key, and an overall_pass that
-    counts the symmetry section only when external_strict is set.
+    """Run the selected suites (all by default, at least one) for one pair
+    and return its report: each suite's section under its key, and an
+    overall_pass that counts the symmetry section only when external_strict
+    is set.
 
     The sweep runs at most once: "cross" and "ratios" share its HHH
     result, and "ratios" has the scalar profile carried in the same
@@ -175,6 +176,8 @@ def run_suite(
     unknown = selected - set(_SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
+    if not selected:
+        raise ValueError("no suites selected: an empty selection checks nothing")
     hhh = toric = None
     if "ratios" in selected:
         hhh, toric = evaluate_profiles(params, (HHH_PROFILE, TORIC_PROFILE))

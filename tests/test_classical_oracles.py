@@ -39,6 +39,15 @@ g = (m-1)(n-1)/2:
   dividing by (1 - t), gives P(2k+1, 2) itself.  The trefoil alone fixes
   that change of variables; every larger k is then a check.
 
+* d_1 and d_-1 (Dunfield-Gukov-Rasmussen 2006; Rasmussen, *Some
+  differentials on Khovanov-Rozansky homology*, 2006), an external
+  property: conjectured by DGR and supported by Rasmussen's spectral
+  sequences, not proved.  In DGR's variables (to_dgr) P has positive
+  coefficients, and each differential cancels every generator but one:
+  P = a^s q^-s + (1 + a^-2 q^2 t^-1) Q for d_1 and
+  P = a^s q^s t^s + (1 + a^-2 q^-2 t^-3) Q' for d_-1, with
+  s = (m-1)(n-1) and Q, Q' positive.  This one reads all three exponents.
+
 The arithmetic here is plain integer lists and {(a, q) exponent:
 coefficient} dicts, independent of the package's polynomial type.  The
 first four identities read only q2 - t2, so an error that moves weight
@@ -238,6 +247,50 @@ def from_dgr(terms):
     return out
 
 
+def to_dgr(numerator):
+    """The inverse of from_dgr: c a^ea q^(q2/2) t^(t2/2) becomes
+    (-1)^(ea - t2) c a^(2 ea) q^(q2 - t2) t^(ea - t2)."""
+    return {
+        (2 * ea, q2 - t2, ea - t2): -c if (ea - t2) % 2 else c
+        for (ea, q2, t2), c in numerator.items()
+    }
+
+
+def cancels_to(dgr, dq, dt, survivor):
+    """Whether the DGR terms dgr are survivor + (1 + a^-2 q^dq t^dt) Q with
+    every coefficient of Q positive: the differential of (a, q, t)-degree
+    (-2, dq, dt) cancels every generator but survivor.
+
+    A chain holds the monomials one step of that degree apart, the one with
+    a-exponent ea at position -ea/2; Q is peeled off each chain from its
+    lowest position up, and the chain's last coefficient must be used up.
+    """
+    rest = dict(dgr)
+    rest[survivor] = rest.get(survivor, 0) - 1
+    chains = {}
+    for (ea, eq, et), c in rest.items():
+        if c:
+            h = ea // 2
+            chains.setdefault((eq + dq * h, et + dt * h), {})[-h] = c
+    for chain in chains.values():
+        top = max(chain)
+        peeled = 0
+        for i in range(min(chain), top):
+            peeled = chain.get(i, 0) - peeled
+            if peeled < 0:
+                return False
+        if chain[top] != peeled:
+            return False
+    return True
+
+
+def dgr_differentials_hold(numerator, m, n):
+    """Both differentials on P(m, n)'s numerator; True when both cancel."""
+    s = (m - 1) * (n - 1)
+    dgr = to_dgr(numerator)
+    return cancels_to(dgr, 2, -1, (s, -s, 0)) and cancels_to(dgr, -2, -3, (s, s, s))
+
+
 def test_helpers_on_small_cases():
     # the trefoil's Alexander polynomial and the (3,2) q-Catalan number
     assert alexander(3, 2) == [1, -1, 1]
@@ -256,6 +309,12 @@ def test_helpers_on_small_cases():
     assert from_dgr(dgr_torus_2(0)) == {(0, 0, 0): 1}
     assert dgr_torus_2(1) == {(2, -2, 0): 1, (2, 2, 2): 1, (4, 0, 3): 1}
     assert from_dgr(dgr_torus_2(1)) == {(1, -1, 1): 1, (1, 1, -1): 1, (2, -1, -1): -1}
+    assert to_dgr(from_dgr(dgr_torus_2(3))) == dgr_torus_2(3)
+    # the trefoil: d_1 leaves a^2 q^-2, and Q = a^4 t^3 for both differentials
+    trefoil = dgr_torus_2(1)
+    assert cancels_to(trefoil, 2, -1, (2, -2, 0)) and cancels_to(trefoil, -2, -3, (2, 2, 2))
+    assert not cancels_to(trefoil, 2, -1, (2, 2, 2))
+    assert not cancels_to({**trefoil, (4, 0, 3): 2}, 2, -1, (2, -2, 0))
 
 
 def test_alexander_polynomial():
@@ -321,3 +380,31 @@ def test_torus_2_family_from_dgr():
             if value.dpow != 1 or dict(value.num.items()) != expected:
                 failures.append((k, "sweep"))
     assert failures == []
+
+
+def test_dgr_differentials():
+    # an external property, like the symmetry checks: DGR's conjecture
+    failures = []
+    for params in coprime_pairs(18):
+        m, n = params.m, params.n
+        value = superpolynomial(params)
+        if value.dpow != 1 or not dgr_differentials_hold(dict(value.num.items()), m, n):
+            failures.append((m, n, "closed form"))
+        if m + n <= 14:
+            value = evaluate(params, HHH_PROFILE).total * normalization(params)
+            if value.dpow != 1 or not dgr_differentials_hold(dict(value.num.items()), m, n):
+                failures.append((m, n, "sweep"))
+    assert failures == []
+
+
+def test_dgr_differentials_reject_a_moved_term():
+    # moving one term by q2 + 2, t2 + 2 keeps every t = q^-1, qt = 1 and
+    # q = t = 1 shadow above, and the differentials still catch it
+    numerator = dict(superpolynomial(KnotParams(5, 3)).num.items())
+    assert dgr_differentials_hold(numerator, 5, 3)
+    for (ea, q2, t2), c in numerator.items():
+        mutated = dict(numerator)
+        del mutated[ea, q2, t2]
+        moved = (ea, q2 + 2, t2 + 2)
+        mutated[moved] = mutated.get(moved, 0) + c
+        assert not dgr_differentials_hold(mutated, 5, 3), (ea, q2, t2)

@@ -10,7 +10,6 @@ from khr.formula import (
     _assemble,
     euler_characteristic,
     genus,
-    hhh_corner_product,
     hhh_direct,
     hhh_path_term,
     hhh_terms,
@@ -128,10 +127,6 @@ class TestEulerCharacteristic:
         assert euler_characteristic(Invariant(ZERO, 0)) == Invariant(ZERO, 0)
 
 
-def as_poly(product):
-    return LaurentPoly({(ea, q2, 0): c for (ea, q2), c in product.items()})
-
-
 class TestCornerProducts:
     """Each k-multiset's expansion against a plain LaurentPoly product fold."""
 
@@ -141,7 +136,7 @@ class TestCornerProducts:
     @settings(max_examples=100, deadline=None)
     def test_hhh_product(self, ks):
         fold = reduce(lambda acc, k: acc * (q_power(k) - A), ks, ONE)
-        assert as_poly(hhh_corner_product(ks)) == fold
+        assert _assemble([(0, sum(ks), tuple(ks))], 0) == fold
 
 
 class TestPathData:
@@ -173,6 +168,10 @@ class TestPathData:
             (2, 2, RuntimeError, "corner distances collide: [2, 2]"),
             (3, 3, RuntimeError, "degenerate offset-interval contact"),
             (4, 2, ValueError, "crossing counts at (0, 1) disagree (1 vertical, 0 horizontal)"),
+            (2, 4, ValueError, "crossing counts at (1, 4) disagree (0 vertical, 1 horizontal)"),
+            (6, 4, ValueError, "crossing counts at (3, 4) disagree (0 vertical, 1 horizontal)"),
+            (4, 6, ValueError, "crossing counts at (2, 6) disagree (0 vertical, 1 horizontal)"),
+            (9, 6, ValueError, "crossing counts at (3, 6) disagree (0 vertical, 1 horizontal)"),
         ],
     )
     def test_walk_guards(self, m, n, error, text):

@@ -197,6 +197,11 @@ class TestReport:
         with pytest.raises(ValueError):
             run_suite(KnotParams(3, 2), suites={"bogus"})
 
+    def test_empty_suite_selection_rejected(self):
+        # an empty selection would pass with nothing checked
+        with pytest.raises(ValueError, match="no suites selected"):
+            run_suite(KnotParams(3, 2), suites=set())
+
     def test_external_demotion_flag(self):
         strict = run_suite(KnotParams(3, 2))
         lax = run_suite(KnotParams(3, 2), external_strict=False)
