@@ -32,7 +32,7 @@ from .dyck import (
 )
 from .formula import euler_characteristic, hhh_direct, superpolynomial
 from .laurent import Invariant, invariant_from_json, invariant_to_json
-from .verify import _SUITES, catalan_check, report_lines, run_suite
+from .verify import SUITES, catalan_check, report_lines, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--suite",
         action="append",
-        choices=tuple(_SUITES),
+        choices=tuple(SUITES),
         help="run only the named suites (repeatable; default all)",
     )
     verify.add_argument(
@@ -247,10 +247,8 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     _guard_size(params, args.max_leaves)
     paths = enumerate_paths(params)
     if args.format == "json":
-        if args.with_stats:
-            print(json.dumps([stats_json(p) for p in paths], sort_keys=True))
-        else:
-            print(json.dumps([str(p) for p in paths]))
+        rows = [stats_json(p) if args.with_stats else str(p) for p in paths]
+        print(json.dumps(rows, sort_keys=True))
     else:
         for p in paths:
             if args.with_stats:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .values import FrozenRecord
 
@@ -264,14 +264,16 @@ def e_strides(m: int, n: int) -> tuple[int, ...]:
     return tuple(strides)
 
 
-def k_values(path: DyckPath, points: tuple[Point, ...]) -> tuple[int, ...]:
-    """k_of at each of points, from one walk over the path.
+def crossings(path: DyckPath, points: Iterable[Point]) -> Iterator[tuple[int, int]]:
+    """(vertical, horizontal) crossing counts at each of points, from one
+    walk over the path, yielded one point at a time.
 
     A step sweeps the offsets between its two ends, so the line at offset
     dp crosses its interior iff dp < top < dp + length, with top the larger
     end offset and length m for an N step, n for an E step.  The walk
     records the top offsets of each kind as bit sets, and each count is the
-    number of bits in that window.
+    number of bits in that window.  Each point must lie on the path or
+    strictly below it, which is checked just before its counts are yielded.
     """
     params = path.params
     m, n = params.m, params.n
@@ -290,7 +292,6 @@ def k_values(path: DyckPath, points: tuple[Point, ...]) -> tuple[int, ...]:
             n_tops |= 1 << (d + m)
     n_window = (1 << (m - 1)) - 1
     e_window = (1 << (n - 1)) - 1
-    out = []
     for p in points:
         x, y = p
         dp = m * y - n * x
@@ -298,14 +299,23 @@ def k_values(path: DyckPath, points: tuple[Point, ...]) -> tuple[int, ...]:
         if not (0 <= y <= n and spans[y][0] <= x and (x <= spans[y][1] or dp > 0)):
             raise ValueError(f"point {p} is neither on the path nor strictly below it")
         vertical = (n_tops >> (dp + 1) & n_window).bit_count()
-        horizontal = (e_tops >> (dp + 1) & e_window).bit_count()
-        if vertical != horizontal:
-            raise ValueError(
-                f"crossing counts at {p} disagree ({vertical} vertical, {horizontal} "
-                "horizontal): the point must be an interior point or a corner"
-            )
-        out.append(vertical)
-    return tuple(out)
+        yield vertical, (e_tops >> (dp + 1) & e_window).bit_count()
+
+
+def agreed(p: Point, vertical: int, horizontal: int) -> int:
+    """k at p: its two crossing counts, which must agree."""
+    if vertical != horizontal:
+        raise ValueError(
+            f"crossing counts at {p} disagree ({vertical} vertical, {horizontal} "
+            "horizontal): the point must be an interior point or a corner"
+        )
+    return vertical
+
+
+def k_values(path: DyckPath, points: tuple[Point, ...]) -> tuple[int, ...]:
+    """k_of at each of points, from one walk over the path; each point's
+    counts are checked, and must agree, before the next point's."""
+    return tuple(agreed(p, *counts) for p, counts in zip(points, crossings(path, points)))
 
 
 def k_totals(path: DyckPath) -> tuple[int, int]:
@@ -366,7 +376,7 @@ def stats_json(path: DyckPath) -> dict:
     kvals = dict(zip(points, k_values(path, points)))
     return {
         "path": str(path),
-        "area": area(path),
+        "area": len(interior),  # interior_points checks this count against area
         "hplus": hplus(path),
         "outer": [list(p) for p in outer],
         "inner": [list(p) for p in inner],

@@ -35,7 +35,9 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .dyck import DyckPath, KnotParams, Point, distance, enumerate_paths, k_values, most_distant
+from .dyck import (
+    DyckPath, KnotParams, Point, agreed, crossings, distance, enumerate_paths, most_distant
+)
 from .laurent import A, Invariant, LaurentPoly, ONE, T, poly_sum, q_power
 
 
@@ -232,44 +234,34 @@ def reconstruct_path(steps: Mapping[Point, Step], terminal: Point, params: KnotP
         raise RuntimeError(f"the Keep steps give no path: {exc}") from exc
 
     expected, top = expected_steps(path)
-    for p, step in steps.items():
-        want = expected.get(p)
-        if step != want and not ((want is START_PASS or want is END_PASS) and step[0] is want):
-            break
-    else:
-        if len(steps) == len(expected):
-            if terminal != top:
-                raise RuntimeError(
-                    f"terminal {terminal} is not the most distant corner {top} of {path}"
-                )
-            return path
-    # the first point, in sorted order, whose step differs
-    passes = (START_PASS, END_PASS)
-    got = {p: tag if tag in passes else (tag, k) for p, (tag, k) in steps.items()}
-    p = next(p for p in sorted(got.keys() | expected.keys()) if got.get(p) != expected.get(p))
-    raise RuntimeError(
-        f"step {steps.get(p)} at {p} does not match the path {path}: expected {expected.get(p)}"
-    )
+    if steps != expected:
+        # the first point, in sorted order, whose step differs
+        p = min(p for p in steps.keys() | expected.keys() if steps.get(p) != expected.get(p))
+        raise RuntimeError(
+            f"step {steps.get(p)} at {p} does not match the path {path}: expected {expected.get(p)}"
+        )
+    if terminal != top:
+        raise RuntimeError(f"terminal {terminal} is not the most distant corner {top} of {path}")
+    return path
 
 
-def expected_steps(path: DyckPath) -> tuple[dict[Point, object], Point]:
+def expected_steps(path: DyckPath) -> tuple[dict[Point, Step], Point]:
     """The step every event must have on path, and the terminal it must end
     at, its most distant outer corner.
 
     Keep at the interior points, Split at the inner corners and Contract at
     the other outer corners, each with k_of there; StartPass at the
-    vertical and EndPass at the horizontal pass-through vertices, by tag
-    alone, as a pass is charged with the live interval count, which the path
-    does not fix.  One walk over the rows finds the points that
-    dyck.corners, dyck.interior_points and dyck.pass_through_points find,
-    and dyck.k_values counts k at the Keep, Split and Contract points.
+    vertical pass-through vertices with the horizontal crossing count there,
+    and EndPass at the horizontal ones with the vertical count: the vertex
+    lies on a step of its own kind, which the open count windows leave out.
+    One walk over the rows finds the points that dyck.corners,
+    dyck.interior_points and dyck.pass_through_points find, and one
+    dyck.crossings walk counts at all of them.
     """
     params = path.params
     m, n = params.m, params.n
-    expected: dict[Point, object] = {}
     outer: list[Point] = []
-    counted: list[Point] = []
-    tags: list[Rule] = []
+    tags: dict[Point, Rule] = {}
     # the path runs along row y from (lo, y) to (hi, y), then up from (hi, y)
     lo = 0
     for y, hi in enumerate((*path.columns, m)):
@@ -277,21 +269,25 @@ def expected_steps(path: DyckPath) -> tuple[dict[Point, object], Point]:
             if hi > lo:
                 outer.append((lo, y))
             else:
-                expected[lo, y] = START_PASS
+                tags[lo, y] = START_PASS
         for x in range(lo + 1, hi):
-            expected[x, y] = END_PASS
+            tags[x, y] = END_PASS
         if y < n:
             if hi > lo:
-                counted.append((hi, y))
-                tags.append(SPLIT)
+                tags[hi, y] = SPLIT
             for x in range(hi + 1, m * y // n + 1):
-                counted.append((x, y))
-                tags.append(KEEP)
+                tags[x, y] = KEEP
         lo = hi
     top = most_distant(params, outer)
-    counted += [p for p in outer if p != top]
-    tags += [CONTRACT] * (len(outer) - 1)
-    expected.update(zip(counted, zip(tags, k_values(path, tuple(counted)))))
+    tags.update((p, CONTRACT) for p in outer if p != top)
+    expected: dict[Point, Step] = {}
+    for (p, tag), (vertical, horizontal) in zip(tags.items(), crossings(path, tags)):
+        if tag is START_PASS:
+            expected[p] = (tag, horizontal)
+        elif tag is END_PASS:
+            expected[p] = (tag, vertical)
+        else:
+            expected[p] = (tag, agreed(p, vertical, horizontal))
     return expected, top
 
 

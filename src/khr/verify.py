@@ -17,7 +17,7 @@ never asserted.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from .dyck import KnotParams, area, enumerate_paths, k_totals, opairs, rational_catalan
 from .formula import genus, hhh_direct, hhh_terms, path_data, superpolynomial
@@ -149,7 +149,7 @@ def leaf_ratio_report(params: KnotParams, hhh: SweepResult, toric: SweepResult) 
 
 
 # suite name -> its section key in the report, in the order the suites run
-_SUITES = {
+SUITES = {
     "identities": "identities",
     "cross": "cross_check",
     "catalan": "catalan",
@@ -161,7 +161,7 @@ _SUITES = {
 def run_suite(
     params: KnotParams,
     external_strict: bool = True,
-    suites: Optional[set[str]] = None,
+    suites: Optional[Iterable[str]] = None,
 ) -> dict:
     """Run the selected suites (all by default, at least one) for one pair
     and return its report: each suite's section under its key, and an
@@ -172,8 +172,8 @@ def run_suite(
     result, and "ratios" has the scalar profile carried in the same
     traversal.
     """
-    selected = set(_SUITES) if suites is None else suites
-    unknown = selected - set(_SUITES)
+    selected = set(SUITES if suites is None else suites)
+    unknown = selected - SUITES.keys()
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     if not selected:
@@ -191,12 +191,12 @@ def run_suite(
         "ratios": lambda: leaf_ratio_report(params, hhh, toric),
     }
     report: dict = {"m": params.m, "n": params.n, "external_strict": external_strict}
-    for name, key in _SUITES.items():
+    for name, key in SUITES.items():
         if name in selected:
             report[key] = runners[name]()
     report["overall_pass"] = all(
         report[key]["pass"]
-        for name, key in _SUITES.items()
+        for name, key in SUITES.items()
         if key in report and (external_strict or name != "symmetry")
     )
     return report

@@ -12,6 +12,7 @@ from khr.dyck import (
     area,
     coprime_pairs,
     corners,
+    crossings,
     distance,
     enumerate_paths,
     hplus,
@@ -301,6 +302,16 @@ class TestRewrittenStatistics:
                     assert all(bv == bh for bv, bh in counts)
                     sums.append(sum(bv for bv, _ in counts))
                 assert k_totals(p) == tuple(sums), word
+
+    def test_crossings_against_the_oracle(self):
+        # both counts, whether or not they agree, at every vertex of the
+        # path and every interior point
+        for params in coprime_pairs(13):
+            m, n = params.m, params.n
+            for p in enumerate_paths(params):
+                word = str(p)
+                points = (*vertices(word), *brute_interior(m, n, word))
+                assert list(crossings(p, points)) == [brute_k(m, n, word, v) for v in points], word
 
     def test_k_totals_are_sums_of_k_values(self):
         for params in coprime_pairs(15):

@@ -79,6 +79,18 @@ def test_readme_command_line_block_runs(tmp_path, capsys):
     assert len(commands) == 8
 
 
+def test_console_script_resolves():
+    # [project.scripts] names the entry point an installed khr runs
+    import tomllib  # Python 3.11+, as the tier-1 jobs are
+
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert list(scripts) == ["khr"]
+    module_name, _, attr = scripts["khr"].partition(":")
+    target = getattr(importlib.import_module(module_name), attr)
+    assert callable(target) and target is cli.main
+
+
 def load_tracer():
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)

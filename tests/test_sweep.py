@@ -1,5 +1,6 @@
 import functools
 import operator
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,7 @@ from khr.sweep import (
 )
 
 from .branch_walk import branches_by_path
+from .oracles import brute_k
 
 mono = LaurentPoly.monomial
 small_coprime = st.sampled_from(coprime_pairs(10))
@@ -426,7 +428,7 @@ class TestReconstruction:
                 "NNEEENEE",
                 {(0, 1): (Rule.END_PASS, 2), (1, 2): (Rule.START_PASS, 1)},
                 None,
-                r"at \(0, 1\) .* expected Rule.START_PASS",
+                r"at \(0, 1\) .* expected \(<Rule.START_PASS: 'StartPass'>, 2\)",
             ),
             # the EndPass at (2, 2), in row n, becomes a Keep, which no row holds
             (
@@ -463,14 +465,17 @@ class TestReconstruction:
         with pytest.raises(RuntimeError, match=message):
             reconstruct_path(tampered, terminal or walked_terminal, params)
 
-    def test_pass_step_k_is_free(self):
-        # the path does not fix the interval count at a pass, so any k is
-        # accepted there; at every other step k is checked
+    def test_pass_step_k_is_checked(self):
+        # the path fixes the interval count at a pass as well: a StartPass
+        # carries the horizontal crossing count there, an EndPass the
+        # vertical one, and any other k is rejected
         params = KnotParams(5, 3)
         steps, terminal = walked_record(params, "NNEEENEE")
         assert steps[0, 1] == (Rule.START_PASS, 2) and steps[2, 2] == (Rule.END_PASS, 2)
-        changed = {**steps, (0, 1): (Rule.START_PASS, 7), (2, 2): (Rule.END_PASS, 0)}
-        assert str(reconstruct_path(changed, terminal, params)) == "NNEEENEE"
+        for p, step in (((0, 1), (Rule.START_PASS, 7)), ((2, 2), (Rule.END_PASS, 0))):
+            message = f"step {step} at {p} does not match the path NNEEENEE: expected {steps[p]}"
+            with pytest.raises(RuntimeError, match=re.escape(message)):
+                reconstruct_path({**steps, p: step}, terminal, params)
 
     def test_expected_steps_checks_k_agreement(self):
         # on a link, where lattice points share offsets, the two crossing
@@ -484,9 +489,13 @@ class TestReconstruction:
 
     def test_expected_steps_match_the_path_statistics(self):
         # the one-walk step map against dyck's corners, interior points,
-        # pass-through vertices, most distant corner and k_values
+        # pass-through vertices, most distant corner and k_values; a pass
+        # takes its k from the Fraction oracle: the horizontal count at a
+        # StartPass, the vertical one at an EndPass
         for params in coprime_pairs(14):
+            m, n = params.m, params.n
             for path in enumerate_paths(params):
+                word = str(path)
                 outer, inner = corners(path)
                 top = most_distant(params, outer)
                 vertical, horizontal = pass_through_points(path)
@@ -495,6 +504,6 @@ class TestReconstruction:
                 tagged += [(p, Rule.CONTRACT) for p in outer if p != top]
                 ks = k_values(path, tuple(p for p, _ in tagged))
                 want = {p: (tag, k) for (p, tag), k in zip(tagged, ks)}
-                want.update(dict.fromkeys(vertical, Rule.START_PASS))
-                want.update(dict.fromkeys(horizontal, Rule.END_PASS))
+                want.update({p: (Rule.START_PASS, brute_k(m, n, word, p)[1]) for p in vertical})
+                want.update({p: (Rule.END_PASS, brute_k(m, n, word, p)[0]) for p in horizontal})
                 assert expected_steps(path) == (want, top), path

@@ -202,6 +202,18 @@ class TestReport:
         with pytest.raises(ValueError, match="no suites selected"):
             run_suite(KnotParams(3, 2), suites=set())
 
+    def test_suite_selection_takes_any_iterable(self):
+        for suites in (["cross", "catalan"], ("catalan", "cross")):
+            report = run_suite(KnotParams(3, 2), suites=suites)
+            assert "cross_check" in report and "catalan" in report
+            assert "identities" not in report and report["overall_pass"]
+        for suites in (["bogus"], ("catalan", "bogus")):
+            with pytest.raises(ValueError, match="unknown suites"):
+                run_suite(KnotParams(3, 2), suites=suites)
+        for suites in ([], ()):
+            with pytest.raises(ValueError, match="no suites selected"):
+                run_suite(KnotParams(3, 2), suites=suites)
+
     def test_external_demotion_flag(self):
         strict = run_suite(KnotParams(3, 2))
         lax = run_suite(KnotParams(3, 2), external_strict=False)
