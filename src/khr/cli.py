@@ -43,8 +43,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process that
 CACHE_ENV = "KHR_CACHE_DIR"
 CACHE_VERSION = __version__
 DEFAULT_MAX_LEAVES = 10**7
-# verify holds every sweep leaf, so it stops lower: its peak RSS (os.wait4)
-# is 45 MB at (10,9) and 134 MB at (11,10), about 7.5 KB per extra path
+# verify streams the sweep but holds a ratio row and an identity row per
+# path, so it stops lower: its peak RSS (os.wait4) is 26 MB at (10,9),
+# 47 MB at (11,10) and 120 MB at (12,11), about 1.7 KB per extra path
 VERIFY_MAX_LEAVES = 10**5
 
 FORMS = ("P", "HHH", "euler")

@@ -145,6 +145,42 @@ def enumerate_paths(params: KnotParams) -> tuple[DyckPath, ...]:
     return tuple(DyckPath(params, cols) for cols in prefixes)
 
 
+@lru_cache(maxsize=8)
+def suffix_counts(params: KnotParams) -> tuple[tuple[int, ...], ...]:
+    """suffix_counts(params)[y - 1][x], for rows y = 1 .. n-1: the number of
+    ways to place the N steps of rows y .. n-1 with row y's at column x or
+    further right, zero past floor(m*y/n).
+
+    Each row's entry at x adds the next row's entry at x, the ways with
+    row y's N step at exactly x, to its own entry at x + 1.
+    """
+    m, n = params.m, params.n
+    rows: list[tuple[int, ...]] = []
+    after: tuple[int, ...] | None = None  # row y + 1's entries; none after row n-1
+    for y in range(n - 1, 0, -1):
+        top = m * y // n
+        row = [0] * (top + 2)
+        for x in range(top, -1, -1):
+            row[x] = row[x + 1] + (1 if after is None else after[x])
+        after = tuple(row)
+        rows.append(after)
+    rows.reverse()
+    return tuple(rows)
+
+
+def path_rank(path: DyckPath) -> int:
+    """The index of path in enumerate_paths(path.params), in O(n).
+
+    The paths before it are those that first differ from it in some row y
+    by an N step further left: rows 0 .. y-1 as in path, row y's column
+    from columns[y-1] to columns[y] - 1, and any valid rest.
+    """
+    cols = path.columns
+    return sum(
+        row[lo] - row[hi] for row, lo, hi in zip(suffix_counts(path.params), cols, cols[1:])
+    )
+
+
 def area(path: DyckPath) -> int:
     """Unit cells whose interior lies fully between the path and the diagonal.
 
@@ -264,42 +300,59 @@ def e_strides(m: int, n: int) -> tuple[int, ...]:
     return tuple(strides)
 
 
-def crossings(path: DyckPath, points: Iterable[Point]) -> Iterator[tuple[int, int]]:
-    """(vertical, horizontal) crossing counts at each of points, from one
-    walk over the path, yielded one point at a time.
+def row_spans(path: DyckPath) -> tuple[tuple[int, int], ...]:
+    """(lo, hi) for each row y = 0 .. n: the path runs along row y from
+    (lo, y) to (hi, y), then up from (hi, y) unless y = n."""
+    cols = path.columns
+    return tuple(zip((0, *cols), (*cols, path.params.m)))
+
+
+def crossing_windows(path: DyckPath) -> tuple[int, int, int, int]:
+    """(n_tops, n_window, e_tops, e_window), from one walk over the path:
+    the line at scaled offset dp crosses (n_tops >> dp & n_window).bit_count()
+    of its N steps and (e_tops >> dp & e_window).bit_count() of its E steps,
+    counting only crossings interior to a step.
 
     A step sweeps the offsets between its two ends, so the line at offset
     dp crosses its interior iff dp < top < dp + length, with top the larger
-    end offset and length m for an N step, n for an E step.  The walk
-    records the top offsets of each kind as bit sets, and each count is the
-    number of bits in that window.  Each point must lie on the path or
-    strictly below it, which is checked just before its counts are yielded.
+    end offset and length m for an N step, n for an E step.  So n_tops and
+    e_tops are the top offsets of each kind, as bit sets shifted down by one
+    so that the window starts at bit dp, and each window is length - 1 bits
+    wide.
     """
-    params = path.params
-    m, n = params.m, params.n
-    cols = path.columns
-    # the path runs along row y from (lo, y) to (hi, y)
-    spans = tuple(zip((0, *cols), (*cols, m)))
+    m, n = path.params.m, path.params.n
     # row y's E steps end at (hi, y), at offset d = m*y - n*hi, and top out
     # at d + n, .., d + n*(hi - lo); its N step from (hi, y) tops out at
     # d + m.  Every vertex has d >= 0, so every shift is nonnegative.
     strides = e_strides(m, n)
     n_tops = e_tops = 0
-    for y, (lo, hi) in enumerate(spans):
-        d = m * y - n * hi
+    lo = my = 0
+    for hi in path.columns:
+        d = my - n * hi
         e_tops |= strides[hi - lo] << d
-        if y < n:
-            n_tops |= 1 << (d + m)
-    n_window = (1 << (m - 1)) - 1
-    e_window = (1 << (n - 1)) - 1
+        n_tops |= 1 << (d + m)
+        lo = hi
+        my += m
+    # row n, whose E steps end at (m, n), at offset 0
+    e_tops |= strides[m - lo]
+    return n_tops >> 1, (1 << (m - 1)) - 1, e_tops >> 1, (1 << (n - 1)) - 1
+
+
+def crossings(path: DyckPath, points: Iterable[Point]) -> Iterator[tuple[int, int]]:
+    """(vertical, horizontal) crossing counts at each of points
+    (crossing_windows), yielded one point at a time.  Each point must lie on
+    the path or strictly below it, which is checked just before its counts
+    are yielded."""
+    m, n = path.params.m, path.params.n
+    spans = row_spans(path)
+    n_tops, n_window, e_tops, e_window = crossing_windows(path)
     for p in points:
         x, y = p
         dp = m * y - n * x
         # on the path, or right of it at p's height and above the diagonal
         if not (0 <= y <= n and spans[y][0] <= x and (x <= spans[y][1] or dp > 0)):
             raise ValueError(f"point {p} is neither on the path nor strictly below it")
-        vertical = (n_tops >> (dp + 1) & n_window).bit_count()
-        yield vertical, (e_tops >> (dp + 1) & e_window).bit_count()
+        yield (n_tops >> dp & n_window).bit_count(), (e_tops >> dp & e_window).bit_count()
 
 
 def agreed(p: Point, vertical: int, horizontal: int) -> int:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .dyck import DyckPath, KnotParams, area, e_strides, hplus, k_values, vstar
-from .laurent import A, Invariant, LaurentPoly, q_power
+from .laurent import A, Invariant, LaurentPoly, Monomial, q_power
 
 # (area, hplus, k over the trimmed outer corners in ascending order): all a
 # path's summand depends on
@@ -169,14 +169,15 @@ def _assemble(records: Iterable[PathRecord], g: int) -> LaurentPoly:
     out once; the empty tuple's terms are then the sum.
     """
     by_ks: dict[tuple[int, ...], dict[tuple[int, int, int], int]] = {}
-    for (area_, hplus_, ks), count in Counter(records).items():
+    for record, count in Counter(records).items():
+        ks, (_, ea, q2, t2) = term_factors(record, g)
         terms = by_ks.get(ks)
         if terms is None:
             terms = by_ks[ks] = {}
             # every prefix of ks gets its entry before the pass below
             for i in range(len(ks)):
                 by_ks.setdefault(ks[:i], {})
-        terms[0, 2 * (hplus_ - g - sum(ks)), 2 * area_] = count
+        terms[ea, q2, t2] = count
     for ks in sorted(by_ks, key=len, reverse=True):
         if not ks:
             break
@@ -192,20 +193,17 @@ def _assemble(records: Iterable[PathRecord], g: int) -> LaurentPoly:
     return LaurentPoly(by_ks.get((), {}))
 
 
-def hhh_terms(params: KnotParams) -> Iterator[LaurentPoly]:
-    """hhh_path_term of every path of params, in enumeration order,
-    expanding each k-multiset's corner product once, by _assemble.
+def term_factors(record: PathRecord, g: int) -> tuple[tuple[int, ...], Monomial]:
+    """A path's summand t^area q^(hplus - g - sum k) prod (q^k - a),
+    factored: its k tuple and its monomial as (coefficient, ea, q2, t2)."""
+    area_, hplus_, ks = record
+    return ks, (1, 0, 2 * (hplus_ - g - sum(ks)), 2 * area_)
 
-    The memo lives as long as the iteration, so nothing outlives the call.
-    """
-    g = genus(params)
-    products: dict[tuple[int, ...], LaurentPoly] = {}
-    for area_, hplus_, ks in path_data(params):
-        product = products.get(ks)
-        if product is None:
-            # the record (0, sum ks, ks) at genus 0 stands for prod (q^k - a) alone
-            product = products[ks] = _assemble(((0, sum(ks), ks),), 0)
-        yield product.times_monomial(1, 0, 2 * (hplus_ - g - sum(ks)), 2 * area_)
+
+def corner_product(ks: tuple[int, ...]) -> LaurentPoly:
+    """prod (q^k - a) over ks, expanded by _assemble."""
+    # the record (0, sum ks, ks) at genus 0 stands for the product alone
+    return _assemble(((0, sum(ks), ks),), 0)
 
 
 @lru_cache(maxsize=32)

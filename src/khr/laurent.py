@@ -23,6 +23,8 @@ from .values import FrozenRecord
 
 # exponent key of one term: (a-power, doubled q-power, doubled t-power)
 ExponentTriple = tuple[int, int, int]
+# one signed term as (coefficient, ea, q2, t2), the arguments of times_monomial
+Monomial = tuple[int, int, int, int]
 
 
 class LaurentPoly:
@@ -218,6 +220,15 @@ def q_power(k: int) -> LaurentPoly:
     return LaurentPoly.monomial(1, q2=2 * k)
 
 
+def single_term(poly: LaurentPoly) -> Optional[Monomial]:
+    """The one term of poly as (coefficient, ea, q2, t2), None unless it
+    has exactly one."""
+    if len(poly) != 1:
+        return None
+    ((ea, q2, t2), c), = poly.items()
+    return c, ea, q2, t2
+
+
 def poly_sum(polys: Iterable[LaurentPoly]) -> LaurentPoly:
     """Sum of polys, accumulated in place in one dict.
 
@@ -288,18 +299,20 @@ class Invariant(FrozenRecord):
     num: LaurentPoly
     dpow: int
 
-    def __init__(self, num: LaurentPoly, dpow: int = 0) -> None:
+    def __init__(self, num: LaurentPoly, dpow: int = 0, lowest: bool = False) -> None:
+        """lowest: num / (1 - t)^dpow is known to be in lowest terms, so no
+        division by (1 - t) is tried."""
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "dpow", dpow)
-        self.__post_init__()
+        self.__post_init__(lowest)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, lowest: bool = False) -> None:
         if self.dpow < 0:
             raise ValueError("denominator power must be nonnegative")
         num, dpow = self.num, self.dpow
         if not num:
             dpow = 0
-        while dpow > 0:
+        while dpow > 0 and not lowest:
             try:
                 num = divide_exact_by_one_minus_t(num)
             except ValueError:
@@ -316,7 +329,11 @@ class Invariant(FrozenRecord):
         return Invariant(num + high.num, high.dpow)
 
     def __mul__(self, other: Union[LaurentPoly, int]) -> "Invariant":
-        return Invariant(self.num * other, self.dpow)
+        other = LaurentPoly._coerce(other)
+        # a one-term other is c x^e with c != 0, and the prime 1 - t divides
+        # neither c nor x^e: it divides the product only if it divides
+        # self.num, which is in lowest terms, so nothing cancels
+        return Invariant(self.num * other, self.dpow, lowest=len(other) == 1)
 
     __rmul__ = __mul__
 

@@ -27,7 +27,10 @@ chosen intervals sweep is bounded by that path, and the branch's rule steps
 are reconstructed into the path and validated against its statistics; the
 leaf keeps only that path and its numerator.  The tree does not depend on
 the weights, so it is walked once without them, and each profile weighs a
-leaf from the (tag, k) values of its steps alone.
+leaf from the (tag, k) values of its steps alone, kept factored as a key
+and a monomial.  ranked_branches ranks each leaf's path in enumeration
+order as the branch ends, so a consumer can check the leaves one at a
+time, in the walk's order, and still find each one's place.
 """
 
 from __future__ import annotations
@@ -36,9 +39,18 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .dyck import (
-    DyckPath, KnotParams, Point, agreed, crossings, distance, enumerate_paths, most_distant
+    DyckPath,
+    KnotParams,
+    Point,
+    agreed,
+    crossing_windows,
+    distance,
+    most_distant,
+    path_rank,
+    rational_catalan,
+    row_spans,
 )
-from .laurent import A, Invariant, LaurentPoly, ONE, T, poly_sum, q_power
+from .laurent import A, Invariant, LaurentPoly, Monomial, ONE, T, poly_sum, q_power, single_term
 
 
 class UnsupportedConfiguration(RuntimeError):
@@ -217,24 +229,33 @@ def reconstruct_path(steps: Mapping[Point, Step], terminal: Point, params: KnotP
     The Keep points are exactly the lattice points strictly between the
     path and the diagonal, and row y holds m*y//n - columns[y] of them (the
     per-row form of dyck.area), so the Keep count per row gives the columns.
-    That path fixes the step at every event; steps must equal that map, and
-    the terminal must be the most distant outer corner.
+    That path fixes the step at every event (fixed_steps), and steps must
+    be that whole map, checked in one pass: each step is the one the path
+    fixes at its point, and there are as many steps as points with one,
+    area + inner + outer - 1 + passes, which is the Keep count plus the
+    m + n - 2 vertices between the path's ends other than the terminal.
+    The terminal must be the most distant outer corner.  Only a branch that
+    fails is compared with expected_steps, to name the first point that
+    differs.
     """
     m, n = params.m, params.n
     columns = [m * y // n for y in range(n)]
+    keeps = 0
     for p, (tag, _) in steps.items():
         if tag is KEEP:
             if not 0 <= p[1] < n:
                 raise RuntimeError(f"the Keep steps give no path: a Keep at {p} lies in no row")
             columns[p[1]] -= 1
+            keeps += 1
     try:
         path = DyckPath(params, tuple(columns))
     except ValueError as exc:
         # a sweep fault, not a usage error
         raise RuntimeError(f"the Keep steps give no path: {exc}") from exc
 
-    expected, top = expected_steps(path)
-    if steps != expected:
+    fixed, top = fixed_steps(path, steps)
+    if len(steps) != keeps + m + n - 2 or fixed != steps:
+        expected, _ = expected_steps(path)
         # the first point, in sorted order, whose step differs
         p = min(p for p in steps.keys() | expected.keys() if steps.get(p) != expected.get(p))
         raise RuntimeError(
@@ -245,50 +266,65 @@ def reconstruct_path(steps: Mapping[Point, Step], terminal: Point, params: KnotP
     return path
 
 
-def expected_steps(path: DyckPath) -> tuple[dict[Point, Step], Point]:
-    """The step every event must have on path, and the terminal it must end
-    at, its most distant outer corner.
+def fixed_steps(path: DyckPath, points: Iterable[Point]) -> tuple[dict[Point, Step], Point]:
+    """The step path fixes at each of points that has one, and the terminal
+    it must end at, its most distant outer corner.
 
-    Keep at the interior points, Split at the inner corners and Contract at
-    the other outer corners, each with k_of there; StartPass at the
-    vertical pass-through vertices with the horizontal crossing count there,
-    and EndPass at the horizontal ones with the vertical count: the vertex
+    The row spans give the tag: Contract at the outer corners but the
+    terminal, StartPass at the vertical pass-through vertices, EndPass at
+    the horizontal ones, Split at the inner corners and Keep at the points
+    right of the path above the diagonal.  The crossing counts of the line
+    through the point (dyck.crossing_windows) give k: Keep, Split and
+    Contract take the agreed count (dyck.agreed), a StartPass the
+    horizontal count and an EndPass the vertical one, as the pass vertex
     lies on a step of its own kind, which the open count windows leave out.
-    One walk over the rows finds the points that dyck.corners,
-    dyck.interior_points and dyck.pass_through_points find, and one
-    dyck.crossings walk counts at all of them.
     """
     params = path.params
     m, n = params.m, params.n
-    outer: list[Point] = []
-    tags: dict[Point, Rule] = {}
-    # the path runs along row y from (lo, y) to (hi, y), then up from (hi, y)
-    lo = 0
-    for y, hi in enumerate((*path.columns, m)):
-        if y:
-            if hi > lo:
-                outer.append((lo, y))
-            else:
-                tags[lo, y] = START_PASS
-        for x in range(lo + 1, hi):
-            tags[x, y] = END_PASS
-        if y < n:
-            if hi > lo:
-                tags[hi, y] = SPLIT
-            for x in range(hi + 1, m * y // n + 1):
-                tags[x, y] = KEEP
-        lo = hi
-    top = most_distant(params, outer)
-    tags.update((p, CONTRACT) for p in outer if p != top)
-    expected: dict[Point, Step] = {}
-    for (p, tag), (vertical, horizontal) in zip(tags.items(), crossings(path, tags)):
-        if tag is START_PASS:
-            expected[p] = (tag, horizontal)
-        elif tag is END_PASS:
-            expected[p] = (tag, vertical)
+    spans = row_spans(path)
+    top = most_distant(params, tuple((lo, y) for y, (lo, hi) in enumerate(spans) if y and hi > lo))
+    n_tops, n_window, e_tops, e_window = crossing_windows(path)
+    fixed: dict[Point, Step] = {}
+    for p in points:
+        x, y = p
+        if not 0 < y <= n:
+            continue
+        lo, hi = spans[y]
+        dp = m * y - n * x
+        if x > hi:
+            tag = KEEP if dp > 0 else None
+        elif x == lo:
+            tag = START_PASS if hi == lo else CONTRACT if p != top else None
+        elif x > lo:
+            tag = END_PASS if x < hi else SPLIT if y < n else None
         else:
-            expected[p] = (tag, agreed(p, vertical, horizontal))
-    return expected, top
+            tag = None
+        if tag is None:
+            continue
+        vertical = (n_tops >> dp & n_window).bit_count()
+        horizontal = (e_tops >> dp & e_window).bit_count()
+        if tag is START_PASS:
+            fixed[p] = (tag, horizontal)
+        elif tag is END_PASS:
+            fixed[p] = (tag, vertical)
+        else:
+            if horizontal != vertical:
+                agreed(p, vertical, horizontal)  # the one agreement guard: raises
+            fixed[p] = (tag, vertical)
+    return fixed, top
+
+
+def expected_steps(path: DyckPath) -> tuple[dict[Point, Step], Point]:
+    """The step every event must have on path, and the terminal it must end
+    at: fixed_steps at every point of every row from the path's vertex to
+    the last point right of it not below the diagonal."""
+    m, n = path.params.m, path.params.n
+    points = [
+        (x, y)
+        for y, (lo, hi) in enumerate(row_spans(path))
+        for x in range(lo, max(hi, m * y // n) + 1)
+    ]
+    return fixed_steps(path, points)
 
 
 def branches(params: KnotParams) -> Iterator[tuple[dict[Point, Step], Point]]:
@@ -323,20 +359,30 @@ def branches(params: KnotParams) -> Iterator[tuple[dict[Point, Step], Point]]:
             raise RuntimeError("sweep exhausted its events with intervals still alive")
 
 
-def leaf_numerator(profile: WeightProfile) -> Callable[[Iterable[Step]], LaurentPoly]:
-    """The function from a branch's steps to its leaf numerator in profile:
-    the base numerator times each step's weight.
+# A leaf numerator, factored: the sorted steps whose weights have more than
+# one term, whose product with the base numerator is looked up by that key,
+# and the product of the other weights, one term.
+Factored = tuple[tuple[Step, ...], Monomial]
+
+
+def leaf_factors(
+    profile: WeightProfile,
+) -> tuple[Callable[[Iterable[Step]], Factored], Callable[[tuple[Step, ...]], LaurentPoly]]:
+    """(factor, product): factor takes a branch's steps to its factored leaf
+    numerator in profile, and product takes a key to the base numerator
+    times the key's weights, so that a leaf numerator is
+    product(key).times_monomial(*monomial).
 
     A weight with one term only scales and shifts: its coefficients multiply
-    and its exponents add.  The other weights' multiset, as a sorted tuple,
-    is multiplied out with the base once and kept for the function's
-    lifetime, one knot's evaluation.  Each step's weight is looked up once.
+    and its exponents add.  Each step's weight is looked up once, and each
+    key's product is multiplied out once, kept for the functions' lifetime,
+    one knot's evaluation.
     """
     weights: dict[Step, LaurentPoly] = {}
-    monomials: dict[Step, tuple[int, int, int, int] | None] = {}
+    monomials: dict[Step, Monomial | None] = {}
     products: dict[tuple[Step, ...], LaurentPoly] = {}
 
-    def numerator(steps: Iterable[Step]) -> LaurentPoly:
+    def factor(steps: Iterable[Step]) -> Factored:
         coeff, ea, q2, t2 = 1, 0, 0, 0
         others = []
         for step in steps:
@@ -344,7 +390,7 @@ def leaf_numerator(profile: WeightProfile) -> Callable[[Iterable[Step]], Laurent
                 term = monomials[step]
             except KeyError:
                 weight = weights[step] = profile.weight(*step)
-                term = monomials[step] = _single_term(weight)
+                term = monomials[step] = single_term(weight)
             if term is None:
                 others.append(step)
             else:
@@ -353,48 +399,73 @@ def leaf_numerator(profile: WeightProfile) -> Callable[[Iterable[Step]], Laurent
                 ea += a
                 q2 += q
                 t2 += t
-        key = tuple(sorted(others))
-        product = products.get(key)
-        if product is None:
-            product = profile.base.num
+        others.sort()
+        return tuple(others), (coeff, ea, q2, t2)
+
+    def product(key: tuple[Step, ...]) -> LaurentPoly:
+        poly = products.get(key)
+        if poly is None:
+            poly = profile.base.num
             for step in key:
-                product = product * weights[step]
-            products[key] = product
-        return product.times_monomial(coeff, ea, q2, t2)
+                poly = poly * weights[step]
+            products[key] = poly
+        return poly
+
+    return factor, product
+
+
+def leaf_numerator(profile: WeightProfile) -> Callable[[Iterable[Step]], LaurentPoly]:
+    """The function from a branch's steps to its leaf numerator in profile:
+    the expansion of its leaf_factors."""
+    factor, product = leaf_factors(profile)
+
+    def numerator(steps: Iterable[Step]) -> LaurentPoly:
+        key, monomial = factor(steps)
+        return product(key).times_monomial(*monomial)
 
     return numerator
 
 
-def _single_term(poly: LaurentPoly) -> tuple[int, int, int, int] | None:
-    """(coefficient, ea, q2, t2) of a one-term poly, None for any other."""
-    if len(poly) != 1:
-        return None
-    ((ea, q2, t2), c), = poly.items()
-    return c, ea, q2, t2
+def ranked_branches(params: KnotParams) -> Iterator[tuple[int, DyckPath, dict[Point, Step]]]:
+    """(rank, path, steps) for each branch of the one walk, as it ends:
+    its steps, reconstructed into their checked path, and that path's
+    index in enumeration order (dyck.path_rank).
+
+    The leaf-set guard: each rank is marked in a bytearray of one byte per
+    path; a rank marked twice raises at once, and a rank still unmarked
+    when the walk ends raises then.  So the leaves are one on each path.
+    """
+    count = rational_catalan(params)
+    marked = bytearray(count)
+    leaves = 0
+    for steps, terminal in branches(params):
+        path = reconstruct_path(steps, terminal, params)
+        rank = path_rank(path)
+        leaves += 1
+        if marked[rank]:
+            raise RuntimeError(f"{leaves} leaves, not one on each of the {count} paths")
+        marked[rank] = 1
+        yield rank, path, steps
+    if 0 in marked:
+        raise RuntimeError(f"{leaves} leaves, not one on each of the {count} paths")
 
 
 def evaluate_profiles(
     params: KnotParams, profiles: tuple[WeightProfile, ...]
 ) -> tuple[SweepResult, ...]:
-    """Every profile's sweep, assembled from one walk of branches.
+    """Every profile's sweep, assembled from one walk of ranked_branches.
 
     Each branch is reconstructed into its Dyck path and validated once, and
     every profile's leaf shares that path; each profile weighs the branch
-    from its steps (leaf_numerator).  The leaves come back sorted by
-    path (N before E), and their paths must be exactly enumerate_paths(params):
-    one leaf per path.  Each leaf numerator sits over its base's (1 - t)
-    power, stored once as dpow, so each total is one sum of numerators,
-    normalized once.
+    from its steps (leaf_numerator).  The leaves are placed by rank, so they
+    come in enumeration order, one on each path.  Each leaf numerator sits
+    over its base's (1 - t) power, stored once as dpow, so each total is
+    one sum of numerators, normalized once.
     """
     numerators = [leaf_numerator(profile) for profile in profiles]
-    found = []
-    for steps, terminal in branches(params):
-        path = reconstruct_path(steps, terminal, params)
-        found.append((path, [numerator(steps.values()) for numerator in numerators]))
-    found.sort(key=lambda leaf: leaf[0].columns)
-    paths = enumerate_paths(params)
-    if tuple(path for path, _ in found) != paths:
-        raise RuntimeError(f"{len(found)} leaves, not one on each of the {len(paths)} paths")
+    found: list = [None] * rational_catalan(params)
+    for rank, path, steps in ranked_branches(params):
+        found[rank] = (path, [numerator(steps.values()) for numerator in numerators])
     results = []
     for j, profile in enumerate(profiles):
         base = profile.base

@@ -8,17 +8,18 @@ from hypothesis import given, settings, strategies as st
 from khr.dyck import DyckPath, KnotParams, coprime_pairs, enumerate_paths
 from khr.formula import (
     _assemble,
+    corner_product,
     euler_characteristic,
     genus,
     hhh_direct,
     hhh_path_term,
-    hhh_terms,
     normalization,
     path_data,
     path_record,
     path_summand,
     records,
     superpolynomial,
+    term_factors,
 )
 from khr.laurent import A, Invariant, LaurentPoly, ONE, Q, T, ZERO, poly_sum, q_power
 from khr.sweep import HHH_PROFILE, evaluate
@@ -145,7 +146,12 @@ class TestPathData:
     def test_aligned_with_enumeration(self, params):
         paths = enumerate_paths(params)
         assert path_data(params) == tuple(path_record(p) for p in paths)
-        assert list(hhh_terms(params)) == [hhh_path_term(p) for p in paths]
+        # each factored term, multiplied out, is the per-path reference term
+        g = genus(params)
+        factored = (term_factors(record, g) for record in path_data(params))
+        assert [corner_product(ks).times_monomial(*shift) for ks, shift in factored] == [
+            hhh_path_term(p) for p in paths
+        ]
 
     def test_walk_matches_per_path_records(self):
         # the walk against the per-path reference, record by record, and

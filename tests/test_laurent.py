@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+import khr.laurent
 from khr.laurent import (
     A,
     Invariant,
@@ -301,6 +302,31 @@ class TestInvariant:
 
     def test_scaling(self):
         assert Invariant(Q, 1) * T == Invariant(Q * T, 1)
+
+    def test_one_term_multiplier_keeps_lowest_terms(self, monkeypatch):
+        # a one-term nonzero multiplier tries no division by (1 - t); any
+        # other multiplier retries it, and a zero product has power 0
+        calls = []
+        divide = khr.laurent.divide_exact_by_one_minus_t
+
+        def counting_divide(p):
+            calls.append(p)
+            return divide(p)
+
+        monkeypatch.setattr(khr.laurent, "divide_exact_by_one_minus_t", counting_divide)
+        v = Invariant(Q + T, 2)
+        for factor in (T, -3, mono(2, ea=1, q2=-1, t2=5)):
+            calls.clear()
+            products = [v * factor] + ([factor * v] if isinstance(factor, int) else [])
+            assert calls == []
+            expected = Invariant((Q + T) * factor, 2)
+            assert all((p.num, p.dpow) == (expected.num, expected.dpow) for p in products)
+        w = Invariant(Q, 1)
+        calls.clear()
+        assert w * (ONE - T) == Invariant(Q, 0)
+        assert calls == [Q - Q * T]
+        assert (v * 0).dpow == 0 and (v * ZERO).dpow == 0 and not (v * 0).num
+        assert (v * (Q - Q)).dpow == 0
 
     @given(polys(), st.integers(0, 2))
     def test_json_round_trip(self, p, d):

@@ -95,13 +95,13 @@ def keep_in_row_n():
 
 
 def wrong_leaf_count(edit):
-    # the two leaves of (3, 2) against an edited list of its paths
-    enumerate_paths = sweep.enumerate_paths
-    sweep.enumerate_paths = lambda params: edit(enumerate_paths(params))
+    # the walk of (3, 2) with its branches edited
+    branches = sweep.branches
+    sweep.branches = lambda params: iter(edit(list(branches(params))))
     try:
         sweep.evaluate(KnotParams(3, 2), sweep.HHH_PROFILE)
     finally:
-        sweep.enumerate_paths = enumerate_paths
+        sweep.branches = branches
 
 
 def walk_guard(m, n, text):
@@ -131,8 +131,9 @@ checks = [
     ("keep added", keep_added),
     ("keep in row n", keep_in_row_n),
     ("step map k agreement", lambda: sweep.expected_steps(link_path(4, 2, "NNEEEE"))),
-    ("leaf path missing", lambda: wrong_leaf_count(lambda paths: paths[1:])),
-    ("leaf path twice", lambda: wrong_leaf_count(lambda paths: paths[:1] + paths)),
+    ("leaf path missing", lambda: wrong_leaf_count(lambda walk: walk[1:])),
+    ("leaf path twice", lambda: wrong_leaf_count(lambda walk: walk[:1] + walk)),
+    ("leaf path twice, last", lambda: wrong_leaf_count(lambda walk: walk + walk[-1:])),
     ("walk corner collision", lambda: walk_guard(2, 2, "collide")),
     ("walk degenerate contact", lambda: walk_guard(3, 3, "degenerate")),
     ("walk k agreement", lambda: walk_guard(4, 2, "disagree")),
@@ -188,6 +189,7 @@ def test_guards_raise_under_optimize():
         "step map k agreement ValueError",
         "leaf path missing RuntimeError",
         "leaf path twice RuntimeError",
+        "leaf path twice, last RuntimeError",
         "walk corner collision RuntimeError",
         "walk degenerate contact RuntimeError",
         "walk k agreement ValueError",

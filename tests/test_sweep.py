@@ -219,13 +219,28 @@ class TestTotal:
         assert result.total == fold
 
     def test_wrong_leaf_count_raises(self, monkeypatch):
-        # the two leaves of (3,2) against its paths with one missing, then
-        # with one listed twice
-        paths = khr.sweep.enumerate_paths(KnotParams(3, 2))
-        for edited in (paths[1:], paths[:1] + paths):
-            monkeypatch.setattr(khr.sweep, "enumerate_paths", lambda params: edited)
-            with pytest.raises(RuntimeError, match=f"2 leaves, not one on each of the {len(edited)} paths"):
-                evaluate(KnotParams(3, 2), HHH_PROFILE)
+        # the walk of (5,3) with one branch dropped, then with its first
+        # branch repeated, then its last: a rank never marked raises when
+        # the walk ends, a rank marked twice at once, with the branches
+        # after it unread, even once every rank is marked
+        params = KnotParams(5, 3)
+        walk = list(branches(params))
+        for edited, leaves, read in (
+            (walk[:3] + walk[4:], 6, 6),
+            (walk[:1] + walk, 2, 2),
+            (walk + walk[-1:] + walk[:1], 8, 8),
+        ):
+            seen = []
+
+            def edited_branches(params, edited=edited, seen=seen):
+                for branch in edited:
+                    seen.append(branch)
+                    yield branch
+
+            monkeypatch.setattr(khr.sweep, "branches", edited_branches)
+            with pytest.raises(RuntimeError, match=f"^{leaves} leaves, not one on each of the 7 paths$"):
+                evaluate(params, HHH_PROFILE)
+            assert len(seen) == read
 
     def test_one_division_per_total(self, monkeypatch):
         # a leaf keeps its numerator, so only the HHH total tries to divide

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import khr.verify
-from khr.dyck import KnotParams, coprime_pairs, enumerate_paths
+from khr.dyck import KnotParams, coprime_pairs, enumerate_paths, suffix_counts
 from khr.formula import hhh_direct, path_data
 from khr.laurent import Invariant, LaurentPoly, ONE, T
 from khr.sweep import HHH_PROFILE, TORIC_PROFILE, Leaf, evaluate, evaluate_profiles
@@ -261,26 +262,41 @@ class TestReport:
 
 class TestSharedSweep:
     def test_one_sweep_per_profile(self, monkeypatch):
-        # one traversal per knot carries every profile the selected suites
-        # need, and a suite that needs no sweep runs none
-        traversals = []
+        # one walk of the branches per knot carries every profile the
+        # selected suites need, and a suite that needs no sweep walks none
+        walks = []
+        factored = []
+        walk, factors = khr.sweep.branches, khr.verify.leaf_factors
 
-        def counting_profiles(params, profiles):
-            traversals.append((params, tuple(profile.name for profile in profiles)))
-            return evaluate_profiles(params, profiles)
+        def counting_walk(params):
+            walks.append((params, tuple(factored)))
+            factored.clear()
+            return walk(params)
 
-        monkeypatch.setattr(khr.verify, "evaluate_profiles", counting_profiles)
+        def counting_factors(profile):
+            factored.append(profile.name)
+            return factors(profile)
+
+        monkeypatch.setattr(khr.sweep, "branches", counting_walk)
+        monkeypatch.setattr(khr.verify, "leaf_factors", counting_factors)
         knots = [KnotParams(3, 2), KnotParams(5, 3)]
-        for suites, names in ((None, ("HHH", "I")), ({"cross"}, ("HHH",)), ({"catalan"}, None)):
-            traversals.clear()
+        for suites, names in (
+            (None, ("HHH", "I")),
+            ({"cross"}, ("HHH",)),
+            ({"ratios"}, ("HHH", "I")),
+            ({"catalan"}, None),
+        ):
+            walks.clear()
             for params in knots:
                 assert run_suite(params, suites=suites)["overall_pass"]
-            assert traversals == ([] if names is None else [(p, names) for p in knots])
+            assert walks == ([] if names is None else [(p, names) for p in knots])
+            assert factored == []
 
     def test_few_polynomial_products(self, monkeypatch):
-        # a leaf's one-term weights only shift its exponents, so the products
-        # left are the other weights' multisets, one per knot, and one per
-        # leaf in the ratio table; per-step products would be over 13,000
+        # a leaf's one-term weights only shift its exponents, and the leaves
+        # stay factored, so the products left are one per key and profile,
+        # one per key in the HHH total and one per key pair in the ratio
+        # table: 278 at (9,7), where expanding every leaf took 939
         products = []
         multiply = LaurentPoly.__mul__
 
@@ -293,7 +309,7 @@ class TestSharedSweep:
         for cached in (enumerate_paths, path_data, hhh_direct):
             cached.cache_clear()
         assert run_suite(KnotParams(9, 7))["overall_pass"]
-        assert 0 < len(products) < 2500
+        assert 0 < len(products) < 400
 
     def test_given_sweep_matches_fresh(self):
         # sweeps of one profile each give the same reports as the shared one
@@ -319,3 +335,89 @@ class TestSharedSweep:
             leaf_ratio_report(params, hhh, evaluate(params, HHH_PROFILE))
         with pytest.raises(RuntimeError, match="leaf paths differ"):
             leaf_ratio_report(params, hhh, evaluate(KnotParams(3, 5), TORIC_PROFILE))
+
+
+class TestStreamedSweep:
+    def test_sections_match_the_sweep_results(self):
+        # the streamed walk against cross_check and leaf_ratio_report of
+        # held SweepResults, each suite alone and both together
+        for params in coprime_pairs(14):
+            hhh, toric = both_sweeps(params)
+            cross = cross_check(params, hhh)
+            ratios = leaf_ratio_report(params, hhh, toric)
+            assert cross["pass"] and ratios["pass"], params
+            both = run_suite(params, suites={"cross", "ratios"})
+            assert both["cross_check"] == cross and both["leaf_ratios"] == ratios, params
+            assert run_suite(params, suites={"cross"})["cross_check"] == cross
+            assert run_suite(params, suites={"ratios"})["leaf_ratios"] == ratios
+
+    def test_leaf_set_guard(self, monkeypatch):
+        # the walk of (5,3) with one branch dropped, then with its first
+        # branch repeated, then its last
+        params = KnotParams(5, 3)
+        walk = list(khr.sweep.branches(params))
+        for edited, leaves in ((walk[1:], 6), (walk[:1] + walk, 2), (walk + walk[-1:], 8)):
+            monkeypatch.setattr(khr.sweep, "branches", lambda params, edited=edited: iter(edited))
+            for suites in ({"cross"}, {"ratios"}):
+                with pytest.raises(RuntimeError, match=f"^{leaves} leaves, not one on each of the 7 paths$"):
+                    run_suite(params, suites=suites)
+
+    def test_ratio_row_needs_unit_coefficients(self):
+        # a leaf monomial with coefficient 2 has no +-1 inverse to scale its
+        # pair's ratio by
+        params = KnotParams(3, 2)
+        path = enumerate_paths(params)[0]
+        row = khr.verify._ratio_rows(params, lambda key: ONE, 1, lambda key: ONE, 0)
+        assert row(path, (), (1, 0, 0, 0), (), (-1, 0, 0, 0))["is_monomial"] is False
+        with pytest.raises(RuntimeError, match="^the leaf monomials of NNEEE have coefficients 2 and 1$"):
+            row(path, (), (2, 0, 0, 0), (), (1, 0, 0, 0))
+
+    @pytest.mark.parametrize("edit", ["monomial", "key"])
+    def test_tampered_factored_leaf(self, monkeypatch, edit):
+        # the HHH leaf of rank 2 with its monomial times t, or with its key
+        # emptied, its product then the base numerator 1: the mismatch
+        # prints that leaf normalized, and the total no longer matches
+        params = KnotParams(5, 3)
+        rank = []
+        monomials = []
+        walk, factors = khr.verify.ranked_branches, khr.verify.leaf_factors
+
+        def noting_walk(params):
+            for leaf in walk(params):
+                rank[:] = [leaf[0]]
+                yield leaf
+
+        def tampered_factors(profile):
+            factor, product = factors(profile)
+
+            def tampered(steps):
+                key, monomial = factor(steps)
+                if profile is not HHH_PROFILE or rank != [2]:
+                    return key, monomial
+                monomials.append(monomial)
+                c, ea, q2, t2 = monomial
+                return ((), monomial) if edit == "key" else (key, (c, ea, q2, t2 + 2))
+
+            return tampered, product
+
+        monkeypatch.setattr(khr.verify, "ranked_branches", noting_walk)
+        monkeypatch.setattr(khr.verify, "leaf_factors", tampered_factors)
+        check = run_suite(params, suites={"cross"})["cross_check"]
+        path, num = evaluate(params, HHH_PROFILE).leaves[2]
+        (monomial,) = monomials
+        tampered = LaurentPoly.monomial(*monomial) if edit == "key" else num * T
+        assert not check["pass"] and not check["total_match"] and check["leaf_count"] == 7
+        assert check["mismatches"] == [f"{path}: sweep {Invariant(tampered, 1)}, closed form {Invariant(num, 1)}"]
+
+    def test_streamed_memory(self):
+        # no leaf is held: the peak of the two streamed suites at (9,7),
+        # path records included, stays under 2 MB (3.1 MB holding leaves)
+        for cached in (enumerate_paths, path_data, hhh_direct, suffix_counts):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            assert run_suite(KnotParams(9, 7), suites={"cross", "ratios"})["overall_pass"]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
