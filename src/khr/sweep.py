@@ -414,18 +414,6 @@ def leaf_factors(
     return factor, product
 
 
-def leaf_numerator(profile: WeightProfile) -> Callable[[Iterable[Step]], LaurentPoly]:
-    """The function from a branch's steps to its leaf numerator in profile:
-    the expansion of its leaf_factors."""
-    factor, product = leaf_factors(profile)
-
-    def numerator(steps: Iterable[Step]) -> LaurentPoly:
-        key, monomial = factor(steps)
-        return product(key).times_monomial(*monomial)
-
-    return numerator
-
-
 def ranked_branches(params: KnotParams) -> Iterator[tuple[int, DyckPath, dict[Point, Step]]]:
     """(rank, path, steps) for each branch of the one walk, as it ends:
     its steps, reconstructed into their checked path, and that path's
@@ -450,31 +438,21 @@ def ranked_branches(params: KnotParams) -> Iterator[tuple[int, DyckPath, dict[Po
         raise RuntimeError(f"{leaves} leaves, not one on each of the {count} paths")
 
 
-def evaluate_profiles(
-    params: KnotParams, profiles: tuple[WeightProfile, ...]
-) -> tuple[SweepResult, ...]:
-    """Every profile's sweep, assembled from one walk of ranked_branches.
-
-    Each branch is reconstructed into its Dyck path and validated once, and
-    every profile's leaf shares that path; each profile weighs the branch
-    from its steps (leaf_numerator).  The leaves are placed by rank, so they
-    come in enumeration order, one on each path.  Each leaf numerator sits
-    over its base's (1 - t) power, stored once as dpow, so each total is
-    one sum of numerators, normalized once.
-    """
-    numerators = [leaf_numerator(profile) for profile in profiles]
-    found: list = [None] * rational_catalan(params)
-    for rank, path, steps in ranked_branches(params):
-        found[rank] = (path, [numerator(steps.values()) for numerator in numerators])
-    results = []
-    for j, profile in enumerate(profiles):
-        base = profile.base
-        leaves = [Leaf(path, nums[j]) for path, nums in found]
-        total = Invariant(poly_sum([leaf.num for leaf in leaves]), base.dpow)
-        results.append(SweepResult(params, profile.name, total, base.dpow, leaves))
-    return tuple(results)
-
-
 def evaluate(params: KnotParams, profile: WeightProfile) -> SweepResult:
-    """The sweep of one profile: evaluate_profiles with that profile alone."""
-    return evaluate_profiles(params, (profile,))[0]
+    """The sweep of one profile, held: every leaf and the total.
+
+    Each branch of one walk of ranked_branches, reconstructed into its Dyck
+    path and validated, is weighed from its steps by leaf_factors and
+    expanded.  The leaves are placed by rank, so they come in enumeration
+    order, one on each path.  Each leaf numerator sits over the base's
+    (1 - t) power, stored once as dpow, so the total is one sum of
+    numerators, normalized once.
+    """
+    factor, product = leaf_factors(profile)
+    leaves: list = [None] * rational_catalan(params)
+    for rank, path, steps in ranked_branches(params):
+        key, monomial = factor(steps.values())
+        leaves[rank] = Leaf(path, product(key).times_monomial(*monomial))
+    dpow = profile.base.dpow
+    total = Invariant(poly_sum([leaf.num for leaf in leaves]), dpow)
+    return SweepResult(params, profile.name, total, dpow, leaves)

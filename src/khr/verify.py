@@ -32,7 +32,7 @@ from .laurent import (
     single_term,
     specialize_count,
 )
-from .sweep import HHH_PROFILE, TORIC_PROFILE, SweepResult, leaf_factors, ranked_branches
+from .sweep import HHH_PROFILE, TORIC_PROFILE, leaf_factors, ranked_branches
 
 
 def identity_suite(params: KnotParams) -> dict:
@@ -73,24 +73,19 @@ def identity_suite(params: KnotParams) -> dict:
     return {"pass": passed, "paths": rows}
 
 
-# the one-term factor of a leaf kept whole: coefficient 1, no exponent
-_UNIT = (1, 0, 0, 0)
-
-
 def _cross_leaves(
-    params: KnotParams, product: Callable[[Hashable], LaurentPoly], dpow: int
-) -> tuple[Callable[..., None], dict[int, str]]:
-    """(check, mismatches): check(rank, path, key, monomial, on_path=True)
-    compares one HHH sweep leaf, product(key).times_monomial(*monomial)
-    over (1 - t)^dpow, with the closed-form term of the path at rank, and
+    params: KnotParams, product: Callable[[Hashable], LaurentPoly]
+) -> tuple[Callable[[int, DyckPath, Hashable, Monomial], None], dict[int, str]]:
+    """(check, mismatches): check(rank, path, key, monomial) compares one
+    HHH sweep leaf, product(key).times_monomial(*monomial) over (1 - t),
+    with the closed-form term of the path at rank, over (1 - t) too, and
     files a mismatch string under rank in mismatches.
 
     The closed-form term comes factored too (formula.term_factors), so each
     (key, k tuple) pair compares its two products once.  Where they are
     equal and nonzero, the leaf matches iff the monomials do, as Laurent
     polynomials have no zero divisors; elsewhere the two are multiplied
-    out and compared.  A leaf off its path, or over another power than
-    (1 - t), is a mismatch; each is normalized only to print one.
+    out and compared.  A mismatch is normalized only to print it.
     """
     records = path_data(params)
     g = genus(params)
@@ -104,49 +99,22 @@ def _cross_leaves(
             poly = corners[ks] = corner_product(ks)
         return poly
 
-    def check(
-        rank: int, path: DyckPath, key: Hashable, monomial: Monomial, on_path: bool = True
-    ) -> None:
+    def check(rank: int, path: DyckPath, key: Hashable, monomial: Monomial) -> None:
         ks, shift = term_factors(records[rank], g)
-        if on_path and dpow == 1:
-            equal = same.get((key, ks))
-            if equal is None:
-                poly = product(key)
-                equal = same[key, ks] = bool(poly) and poly == corner(ks)
-            if equal:
-                if monomial == shift:
-                    return
-            elif product(key).times_monomial(*monomial) == corner(ks).times_monomial(*shift):
+        equal = same.get((key, ks))
+        if equal is None:
+            poly = product(key)
+            equal = same[key, ks] = bool(poly) and poly == corner(ks)
+        if equal:
+            if monomial == shift:
                 return
-        leaf = Invariant(product(key).times_monomial(*monomial), dpow)
+        elif product(key).times_monomial(*monomial) == corner(ks).times_monomial(*shift):
+            return
+        leaf = Invariant(product(key).times_monomial(*monomial), 1)
         term = Invariant(corner(ks).times_monomial(*shift), 1)
         mismatches[rank] = f"{path}: sweep {leaf}, closed form {term}"
 
     return check, mismatches
-
-
-def _cross_section(
-    total_match: bool, leaf_count: int, params: KnotParams, mismatches: dict[int, str]
-) -> dict:
-    expected_leaf_count = rational_catalan(params)
-    return {
-        "pass": total_match and not mismatches and leaf_count == expected_leaf_count,
-        "total_match": total_match,
-        "leaf_count": leaf_count,
-        "expected_leaf_count": expected_leaf_count,
-        "mismatches": [mismatches[rank] for rank in sorted(mismatches)],
-    }
-
-
-def cross_check(params: KnotParams, hhh: SweepResult) -> dict:
-    """Compare hhh, the HHH sweep of params, with the closed form, total
-    and leaf by leaf, through the per-leaf check of the streamed walk."""
-    leaves = hhh.leaves
-    check, mismatches = _cross_leaves(params, lambda i: leaves[i].num, hhh.dpow)
-    # leaves pair with paths by position; a wrong count fails through leaf_count
-    for i, (path, leaf) in enumerate(zip(enumerate_paths(params), leaves)):
-        check(i, path, i, _UNIT, leaf.path == path)
-    return _cross_section(hhh.total == hhh_direct(params), len(leaves), params, mismatches)
 
 
 def catalan_check(params: KnotParams) -> dict:
@@ -171,15 +139,14 @@ def symmetry_checks(params: KnotParams) -> dict:
 
 
 def _ratio_rows(
-    params: KnotParams,
     hhh_product: Callable[[Hashable], LaurentPoly],
-    hhh_dpow: int,
     toric_product: Callable[[Hashable], LaurentPoly],
-    toric_dpow: int,
 ) -> Callable[[DyckPath, Hashable, Monomial, Hashable, Monomial], dict]:
     """The function from one leaf's path and its two factored numerators,
     HHH and scalar, to its ratio row: the ratio of the scalar leaf to
-    (1-a)(1-t) times the HHH leaf, which must be a signed monomial.
+    (1-a)(1-t) times the HHH leaf, which must be a signed monomial.  Every
+    HHH leaf sits over (1 - t) and every scalar leaf over 1, so that ratio
+    is the scalar numerator's to (1-a) times the HHH one.
 
     Each (HHH key, scalar key) pair's product ratio is taken once.  Every
     one-term weight of both profiles has coefficient +-1, so every leaf
@@ -187,10 +154,6 @@ def _ratio_rows(
     ratio times the scalar monomial over the HHH one; there is none where
     the pair's ratio has none.
     """
-    # every leaf is x / (1-t)^d with the HHH side at d = 1 and the scalar
-    # side at d = 0, so (1-a)(1-t) * HHH leaf is polynomial
-    if hhh_dpow != 1 or toric_dpow != 0:
-        raise RuntimeError(f"the leaves of {params} are not polynomial")
     one_minus_a = ONE - A
     ratios: dict[tuple[Hashable, Hashable], Optional[Monomial]] = {}
     # few leaves have a ratio of their own, so each distinct one is rendered once
@@ -221,35 +184,6 @@ def _ratio_rows(
     return row
 
 
-def _ratio_section(params: KnotParams, rows: list[dict]) -> dict:
-    all_monomial = all(row["is_monomial"] for row in rows)
-    # the sweep starts from one interval on the n strands of the braid
-    n = params.n
-    return {
-        "pass": all_monomial,
-        "all_monomial": all_monomial,
-        "shares_global_monomial": all_monomial and len({row["ratio"] for row in rows}) <= 1,
-        "single_interval_prediction": LaurentPoly.monomial(1 if n % 2 == 0 else -1, q2=1 - n).text(),
-        "leaves": rows,
-    }
-
-
-def leaf_ratio_report(params: KnotParams, hhh: SweepResult, toric: SweepResult) -> dict:
-    """Per-leaf ratio of the scalar sweep (toric) of params to (1-a)(1-t)
-    times its HHH sweep (hhh), through the per-leaf row of the streamed
-    walk.  Each ratio must be a signed monomial; whether all leaves share a
-    single monomial is reported but never required."""
-    row = _ratio_rows(
-        params, lambda i: hhh.leaves[i].num, hhh.dpow, lambda i: toric.leaves[i].num, toric.dpow
-    )
-    rows = []
-    for i, (h_leaf, t_leaf) in enumerate(zip(hhh.leaves, toric.leaves)):
-        if h_leaf.path != t_leaf.path:
-            raise RuntimeError(f"leaf paths differ: {h_leaf.path} vs {t_leaf.path}")
-        rows.append(row(h_leaf.path, i, _UNIT, i, _UNIT))
-    return _ratio_section(params, rows)
-
-
 def _streamed_sections(
     params: KnotParams, cross: bool, ratios: bool
 ) -> tuple[Optional[dict], Optional[dict]]:
@@ -258,19 +192,18 @@ def _streamed_sections(
     and kept factored (sweep.leaf_factors); no leaf is held.
 
     The HHH total is the sum over keys of each key's product times the sum
-    of its leaves' monomials, and it must equal hhh_direct.  Only the
-    mismatch strings and the ratio rows are kept, by rank, so they come out
-    in enumeration order.  Without the ratio section no scalar leaf is
-    factored.
+    of its leaves' monomials, over (1 - t), and it must equal hhh_direct.
+    Only the mismatch strings and the ratio rows are kept, by rank, so they
+    come out in enumeration order.  Without the ratio section no scalar
+    leaf is factored.
     """
     hhh_factor, hhh_product = leaf_factors(HHH_PROFILE)
-    hhh_dpow = HHH_PROFILE.base.dpow
     if cross:
-        check, mismatches = _cross_leaves(params, hhh_product, hhh_dpow)
+        check, mismatches = _cross_leaves(params, hhh_product)
         sums: dict[tuple, dict[tuple[int, int, int], int]] = {}
     if ratios:
         toric_factor, toric_product = leaf_factors(TORIC_PROFILE)
-        row = _ratio_rows(params, hhh_product, hhh_dpow, toric_product, TORIC_PROFILE.base.dpow)
+        row = _ratio_rows(hhh_product, toric_product)
         rows: list = [None] * rational_catalan(params)
     leaves = 0
     for rank, path, steps in ranked_branches(params):
@@ -289,12 +222,44 @@ def _streamed_sections(
     cross_section = ratio_section = None
     if cross:
         total = Invariant(
-            poly_sum(hhh_product(key) * LaurentPoly(terms) for key, terms in sums.items()), hhh_dpow
+            poly_sum(hhh_product(key) * LaurentPoly(terms) for key, terms in sums.items()), 1
         )
-        cross_section = _cross_section(total == hhh_direct(params), leaves, params, mismatches)
+        total_match = total == hhh_direct(params)
+        expected_leaf_count = rational_catalan(params)
+        cross_section = {
+            "pass": total_match and not mismatches and leaves == expected_leaf_count,
+            "total_match": total_match,
+            "leaf_count": leaves,
+            "expected_leaf_count": expected_leaf_count,
+            "mismatches": [mismatches[rank] for rank in sorted(mismatches)],
+        }
     if ratios:
-        ratio_section = _ratio_section(params, rows)
+        all_monomial = all(leaf["is_monomial"] for leaf in rows)
+        # the sweep starts from one interval on the n strands of the braid
+        n = params.n
+        prediction = LaurentPoly.monomial(1 if n % 2 == 0 else -1, q2=1 - n)
+        ratio_section = {
+            "pass": all_monomial,
+            "all_monomial": all_monomial,
+            "shares_global_monomial": all_monomial and len({leaf["ratio"] for leaf in rows}) <= 1,
+            "single_interval_prediction": prediction.text(),
+            "leaves": rows,
+        }
     return cross_section, ratio_section
+
+
+def cross_check(params: KnotParams) -> dict:
+    """The HHH sweep of params against the closed form, total and leaf by
+    leaf: the cross-check section of one streamed walk."""
+    return _streamed_sections(params, cross=True, ratios=False)[0]
+
+
+def leaf_ratio_report(params: KnotParams) -> dict:
+    """Per-leaf ratio of the scalar sweep of params to (1-a)(1-t) times its
+    HHH sweep: the ratio section of one streamed walk.  Each ratio must be
+    a signed monomial; whether all leaves share a single monomial is
+    reported but never required."""
+    return _streamed_sections(params, cross=False, ratios=True)[1]
 
 
 # suite name -> its section key in the report, in the order the suites run

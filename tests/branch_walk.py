@@ -1,8 +1,9 @@
 """The sweep's branches keyed by path, with each leaf numerator recomputed.
 
-evaluate_profiles keeps only each leaf's path and numerator; the tests that
-check the rule steps and interval counts along a branch read them from
-sweep.branches, the walk evaluate_profiles itself runs.
+sweep.evaluate keeps only each leaf's path and numerator, and the streamed
+sections of verify keep no leaf at all.  The tests that check the rule
+steps and interval counts along a branch, or a leaf numerator against a
+reference, read them from sweep.branches, the walk both run.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ def branches_by_path(params, profiles):
     Each value is (steps, terminal, nums), nums holding per profile the
     base numerator times the product of profile.weight(tag, k) over that
     branch's own steps: recomputed here branch by branch, with no memo and
-    nothing shared between branches, independently of evaluate_profiles'
-    factored weights.
+    nothing shared between branches, independently of the factored
+    weights of sweep.leaf_factors.
     """
     out = {}
     for steps, terminal in branches(params):

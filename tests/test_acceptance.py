@@ -12,7 +12,7 @@ import math
 from khr.dyck import KnotParams, coprime_pairs, k_of, rational_catalan
 from khr.formula import genus, superpolynomial
 from khr.laurent import Invariant, LaurentPoly, ONE, ZERO
-from khr.sweep import HHH_PROFILE, TORIC_PROFILE, Rule, evaluate, evaluate_profiles
+from khr.sweep import HHH_PROFILE, Rule, evaluate
 from khr.verify import (
     catalan_check,
     cross_check,
@@ -98,7 +98,7 @@ def test_criterion_02_every_knot_to_msum_12_rederived_by_brute_force():
 def test_criterion_03_cross_evaluator_oracle():
     failures = []
     for params in coprime_pairs(17):
-        check = cross_check(params, evaluate(params, HHH_PROFILE))
+        check = cross_check(params)
         if not check["pass"]:
             failures.append((params.m, params.n, check["mismatches"][:2]))
     _report("3 closed form == sweep, total and leaf-by-leaf, m+n <= 17", failures)
@@ -172,7 +172,7 @@ def test_criterion_09_profile_ratio_diagnostic():
     failures = []
     shared = []
     for params in coprime_pairs(12):
-        report = leaf_ratio_report(params, *evaluate_profiles(params, (HHH_PROFILE, TORIC_PROFILE)))
+        report = leaf_ratio_report(params)
         for leaf in report["leaves"]:
             if not leaf["is_monomial"]:
                 failures.append((params.m, params.n, leaf["path"]))

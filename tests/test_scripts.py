@@ -80,11 +80,15 @@ def test_readme_command_line_block_runs(tmp_path, capsys):
 
 
 def test_console_script_resolves():
-    # [project.scripts] names the entry point an installed khr runs
+    # [project.scripts] names the entry point an installed khr runs, and
+    # requires-python the oldest Python it runs on
     import tomllib  # Python 3.11+, as the tier-1 jobs are
 
     with open(ROOT / "pyproject.toml", "rb") as handle:
-        scripts = tomllib.load(handle)["project"]["scripts"]
+        project = tomllib.load(handle)["project"]
+    # cli._path_count reads sys.get_int_max_str_digits, new in 3.10.7
+    assert project["requires-python"] == ">=3.10.7"
+    scripts = project["scripts"]
     assert list(scripts) == ["khr"]
     module_name, _, attr = scripts["khr"].partition(":")
     target = getattr(importlib.import_module(module_name), attr)

@@ -21,7 +21,7 @@ from khr.dyck import (
     pass_through_points,
     rational_catalan,
 )
-from khr.laurent import A, Invariant, LaurentPoly, ONE, T, q_power
+from khr.laurent import A, Invariant, LaurentPoly, ONE, T, poly_sum, q_power
 from khr.sweep import (
     HHH_PROFILE,
     Rule,
@@ -31,7 +31,6 @@ from khr.sweep import (
     branches,
     classify,
     evaluate,
-    evaluate_profiles,
     event_list,
     expected_steps,
     initial_coloring,
@@ -253,10 +252,12 @@ class TestTotal:
             return divide(p)
 
         monkeypatch.setattr(khr.laurent, "divide_exact_by_one_minus_t", counting_divide)
-        hhh, toric = evaluate_profiles(KnotParams(9, 7), (HHH_PROFILE, TORIC_PROFILE))
+        hhh = evaluate(KnotParams(9, 7), HHH_PROFILE)
+        assert len(calls) == 1
+        toric = evaluate(KnotParams(9, 7), TORIC_PROFILE)
         assert len(calls) == 1
         assert (hhh.dpow, toric.dpow) == (1, 0)
-        assert len(hhh.leaves) == rational_catalan(KnotParams(9, 7))
+        assert len(hhh.leaves) == len(toric.leaves) == rational_catalan(KnotParams(9, 7))
 
 
 class TestDeadIntervals:
@@ -294,48 +295,40 @@ class TestDeadIntervals:
 
 class TestSharedTraversal:
     def test_matches_separate_sweeps(self):
+        # each profile's held sweep against its branches recomputed one by
+        # one: each leaf's value is its base numerator times the product of
+        # its profile's weights over its own branch's steps
         profiles = (HHH_PROFILE, TORIC_PROFILE)
         for params in coprime_pairs(12):
-            shared = evaluate_profiles(params, profiles)
-            assert [result.profile for result in shared] == ["HHH", "I"]
-            # each leaf's value is its base numerator times the product of
-            # its profile's weights over its own branch's steps
             branches = branches_by_path(params, profiles)
-            for j, (result, profile) in enumerate(zip(shared, profiles, strict=True)):
-                alone = evaluate(params, profile)
-                assert result.params == alone.params
-                assert result.total == alone.total
-                assert [str(leaf.path) for leaf in result.leaves] == [
-                    str(leaf.path) for leaf in alone.leaves
-                ]
-                assert result.dpow == alone.dpow == profile.base.dpow
-                assert [leaf.num for leaf in result.leaves] == [
-                    leaf.num for leaf in alone.leaves
-                ]
+            words = [str(path) for path in enumerate_paths(params)]
+            for j, profile in enumerate(profiles):
+                result = evaluate(params, profile)
+                assert result.params == params and result.profile == profile.name
+                assert result.dpow == profile.base.dpow
+                assert [str(leaf.path) for leaf in result.leaves] == words
                 assert len(branches) == len(result.leaves)
                 for leaf in result.leaves:
                     assert branches[str(leaf.path)][2][j] == leaf.num
-            hhh, toric = shared
-            for h_leaf, t_leaf in zip(hhh.leaves, toric.leaves, strict=True):
-                assert h_leaf.path is t_leaf.path
+                nums = [branch[2][j] for branch in branches.values()]
+                assert result.total == Invariant(poly_sum(nums), profile.base.dpow)
 
     def test_pluggable_profile(self):
         # a profile the factored weights were not written for: Keep's weight
         # has two terms and Contract's is a monomial, and the one-term
         # weights carry coefficients other than 1
-        profiles = (HHH_PROFILE, TWO_TERM_KEEP)
         for params in coprime_pairs(12):
-            branches = branches_by_path(params, profiles)
-            for j, result in enumerate(evaluate_profiles(params, profiles)):
-                assert len(branches) == len(result.leaves)
-                for leaf in result.leaves:
-                    assert branches[str(leaf.path)][2][j] == leaf.num
-                fold = functools.reduce(
-                    operator.add,
-                    (Invariant(leaf.num, result.dpow) for leaf in result.leaves),
-                    Invariant(LaurentPoly(), 0),
-                )
-                assert result.total == fold
+            branches = branches_by_path(params, (TWO_TERM_KEEP,))
+            result = evaluate(params, TWO_TERM_KEEP)
+            assert len(branches) == len(result.leaves)
+            for leaf in result.leaves:
+                assert branches[str(leaf.path)][2][0] == leaf.num
+            fold = functools.reduce(
+                operator.add,
+                (Invariant(leaf.num, result.dpow) for leaf in result.leaves),
+                Invariant(LaurentPoly(), 0),
+            )
+            assert result.total == fold
 
 
 # Keep weighs two terms, Contract one; Split's coefficient is 2 and

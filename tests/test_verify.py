@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import khr.verify
-from khr.dyck import KnotParams, coprime_pairs, enumerate_paths, suffix_counts
-from khr.formula import hhh_direct, path_data
-from khr.laurent import Invariant, LaurentPoly, ONE, T
-from khr.sweep import HHH_PROFILE, TORIC_PROFILE, Leaf, evaluate, evaluate_profiles
+from khr.dyck import KnotParams, coprime_pairs, enumerate_paths, rational_catalan, suffix_counts
+from khr.formula import hhh_direct, hhh_path_term, path_data
+from khr.laurent import A, Invariant, LaurentPoly, ONE, T, monomial_ratio, poly_sum
+from khr.sweep import HHH_PROFILE, TORIC_PROFILE, evaluate
 from khr.verify import (
     catalan_check,
     cross_check,
@@ -18,6 +18,8 @@ from khr.verify import (
     run_suite,
     symmetry_checks,
 )
+
+from .branch_walk import branches_by_path
 
 small_coprime = st.sampled_from(coprime_pairs(10))
 
@@ -34,10 +36,6 @@ def sign_structure_ok(params: KnotParams) -> bool:
             f"unnormalized series of {params} is over (1-t)^{series.dpow}, not (1-t)"
         )
     return all((c > 0) == (ea % 2 == 0) for (ea, _, _), c in series.num.items())
-
-
-def both_sweeps(params):
-    return evaluate_profiles(params, (HHH_PROFILE, TORIC_PROFILE))
 
 
 class TestIdentitySuite:
@@ -78,40 +76,16 @@ class TestIdentitySuite:
 
 class TestCrossCheck:
     def test_trefoil(self):
-        check = cross_check(KnotParams(3, 2), evaluate(KnotParams(3, 2), HHH_PROFILE))
+        check = cross_check(KnotParams(3, 2))
         assert check["pass"] and check["leaf_count"] == 2
 
     def test_unknot_family(self):
         for n in (1, 7, 20):
-            assert cross_check(KnotParams(1, n), evaluate(KnotParams(1, n), HHH_PROFILE))["pass"]
+            assert cross_check(KnotParams(1, n))["pass"]
 
     def test_53_leaf_count(self):
-        check = cross_check(KnotParams(5, 3), evaluate(KnotParams(5, 3), HHH_PROFILE))
+        check = cross_check(KnotParams(5, 3))
         assert check["pass"] and check["leaf_count"] == 7
-
-    def test_tampered_leaf_detected(self):
-        # one leaf numerator off, the total untouched: the mismatch prints
-        # the leaf normalized, (1 - t) / (1 - t) = 1
-        params = KnotParams(5, 3)
-        hhh = evaluate(params, HHH_PROFILE)
-        path, num = hhh.leaves[0]
-        hhh.leaves[0] = Leaf(path, ONE - T)
-        check = cross_check(params, hhh)
-        assert check["total_match"] and not check["pass"]
-        assert check["mismatches"] == [f"{path}: sweep 1, closed form {Invariant(num, 1)}"]
-
-    def test_wrong_leaf_list_fails_without_raising(self):
-        # leaves pair with paths by position: a dropped leaf fails through
-        # leaf_count, and two leaves swapped are two mismatches
-        params = KnotParams(5, 3)
-        hhh = evaluate(params, HHH_PROFILE)
-        hhh.leaves[0], hhh.leaves[1] = hhh.leaves[1], hhh.leaves[0]
-        check = cross_check(params, hhh)
-        assert check["total_match"] and not check["pass"] and len(check["mismatches"]) == 2
-        hhh = evaluate(params, HHH_PROFILE)
-        del hhh.leaves[-1]
-        check = cross_check(params, hhh)
-        assert check["mismatches"] == [] and check["leaf_count"] == 6 and not check["pass"]
 
 
 class TestCatalan:
@@ -135,7 +109,7 @@ class TestSymmetry:
 
 class TestLeafRatios:
     def test_trefoil_table(self):
-        report = leaf_ratio_report(KnotParams(3, 2), *both_sweeps(KnotParams(3, 2)))
+        report = leaf_ratio_report(KnotParams(3, 2))
         ratios = {leaf["path"]: leaf["ratio"] for leaf in report["leaves"]}
         assert ratios == {"NNEEE": "q", "NENEE": "q^(3/2)"}
         assert report["all_monomial"] and report["pass"]
@@ -149,11 +123,11 @@ class TestLeafRatios:
             ((5, 4), "q^(-3/2)"),
             ((4, 7), "-q^-3"),
         ):
-            report = leaf_ratio_report(KnotParams(m, n), *both_sweeps(KnotParams(m, n)))
+            report = leaf_ratio_report(KnotParams(m, n))
             assert report["single_interval_prediction"] == expected, (m, n)
 
     def test_unknot_single_leaf(self):
-        report = leaf_ratio_report(KnotParams(1, 1), *both_sweeps(KnotParams(1, 1)))
+        report = leaf_ratio_report(KnotParams(1, 1))
         (leaf,) = report["leaves"]
         assert leaf["ratio"] == "-1"
         assert report["shares_global_monomial"]
@@ -161,7 +135,7 @@ class TestLeafRatios:
     @given(small_coprime)
     @settings(max_examples=20, deadline=None)
     def test_all_ratios_are_monomials(self, params):
-        assert leaf_ratio_report(params, *both_sweeps(params))["all_monomial"]
+        assert leaf_ratio_report(params)["all_monomial"]
 
 
 class TestSignStructure:
@@ -311,45 +285,45 @@ class TestSharedSweep:
         assert run_suite(KnotParams(9, 7))["overall_pass"]
         assert 0 < len(products) < 400
 
-    def test_given_sweep_matches_fresh(self):
-        # sweeps of one profile each give the same reports as the shared one
-        params = KnotParams(5, 3)
-        hhh = evaluate(params, HHH_PROFILE)
-        toric = evaluate(params, TORIC_PROFILE)
-        shared_hhh, shared_toric = both_sweeps(params)
-        assert cross_check(params, hhh) == cross_check(params, shared_hhh)
-        assert cross_check(params, hhh)["pass"]
-        assert leaf_ratio_report(params, hhh, toric) == leaf_ratio_report(params, shared_hhh, shared_toric)
-        assert leaf_ratio_report(params, hhh, shared_toric) == leaf_ratio_report(params, shared_hhh, toric)
-
-    def test_wrong_sweep_detected(self):
-        params = KnotParams(5, 3)
-        hhh, toric = both_sweeps(params)
-        assert not cross_check(params, evaluate(params, TORIC_PROFILE))["pass"]
-        assert not cross_check(params, evaluate(KnotParams(3, 5), HHH_PROFILE))["pass"]
-        with pytest.raises(RuntimeError, match="not polynomial"):
-            leaf_ratio_report(params, evaluate(params, TORIC_PROFILE), toric)
-        with pytest.raises(RuntimeError):
-            leaf_ratio_report(params, evaluate(KnotParams(3, 5), HHH_PROFILE), toric)
-        with pytest.raises(RuntimeError, match="not polynomial"):
-            leaf_ratio_report(params, hhh, evaluate(params, HHH_PROFILE))
-        with pytest.raises(RuntimeError, match="leaf paths differ"):
-            leaf_ratio_report(params, hhh, evaluate(KnotParams(3, 5), TORIC_PROFILE))
-
 
 class TestStreamedSweep:
-    def test_sections_match_the_sweep_results(self):
-        # the streamed walk against cross_check and leaf_ratio_report of
-        # held SweepResults, each suite alone and both together
+    def test_sections_match_the_branch_reference(self):
+        # each branch's numerators recomputed from its own steps, with no
+        # memo and nothing factored (branch_walk): the HHH one is the closed
+        # form's term of its path, and the ratio row is the monomial ratio
+        # of the scalar one to (1-a) times the HHH one; each suite alone
+        # gives the section of the two together
+        one_minus_a = ONE - A
         for params in coprime_pairs(14):
-            hhh, toric = both_sweeps(params)
-            cross = cross_check(params, hhh)
-            ratios = leaf_ratio_report(params, hhh, toric)
-            assert cross["pass"] and ratios["pass"], params
+            branches = branches_by_path(params, (HHH_PROFILE, TORIC_PROFILE))
+            paths = enumerate_paths(params)
+            assert sorted(branches) == sorted(str(path) for path in paths), params
+            hhh_nums, rows = [], []
+            for path in paths:
+                _, _, (hhh, toric) = branches[str(path)]
+                assert hhh == hhh_path_term(path), (params, str(path))
+                hhh_nums.append(hhh)
+                ratio = monomial_ratio(toric, one_minus_a * hhh)
+                text = "not a monomial" if ratio is None else ratio.text()
+                rows.append({"path": str(path), "is_monomial": ratio is not None, "ratio": text})
+            assert Invariant(poly_sum(hhh_nums), 1) == hhh_direct(params), params
+            count = rational_catalan(params)
+            cross = cross_check(params)
+            assert cross == {
+                "pass": True,
+                "total_match": True,
+                "leaf_count": count,
+                "expected_leaf_count": count,
+                "mismatches": [],
+            }, params
+            ratios = leaf_ratio_report(params)
+            assert ratios["leaves"] == rows, params
+            assert ratios["pass"] == ratios["all_monomial"] == all(row["is_monomial"] for row in rows)
+            assert ratios["shares_global_monomial"] == (
+                ratios["all_monomial"] and len({row["ratio"] for row in rows}) <= 1
+            )
             both = run_suite(params, suites={"cross", "ratios"})
             assert both["cross_check"] == cross and both["leaf_ratios"] == ratios, params
-            assert run_suite(params, suites={"cross"})["cross_check"] == cross
-            assert run_suite(params, suites={"ratios"})["leaf_ratios"] == ratios
 
     def test_leaf_set_guard(self, monkeypatch):
         # the walk of (5,3) with one branch dropped, then with its first
@@ -367,7 +341,7 @@ class TestStreamedSweep:
         # pair's ratio by
         params = KnotParams(3, 2)
         path = enumerate_paths(params)[0]
-        row = khr.verify._ratio_rows(params, lambda key: ONE, 1, lambda key: ONE, 0)
+        row = khr.verify._ratio_rows(lambda key: ONE, lambda key: ONE)
         assert row(path, (), (1, 0, 0, 0), (), (-1, 0, 0, 0))["is_monomial"] is False
         with pytest.raises(RuntimeError, match="^the leaf monomials of NNEEE have coefficients 2 and 1$"):
             row(path, (), (2, 0, 0, 0), (), (1, 0, 0, 0))
