@@ -307,18 +307,24 @@ def row_spans(path: DyckPath) -> tuple[tuple[int, int], ...]:
     return tuple(zip((0, *cols), (*cols, path.params.m)))
 
 
+def count_windows(m: int, n: int) -> tuple[int, int]:
+    """(n_window, e_window), the one statement of the crossing-count
+    windows: a step sweeps the offsets between its two ends, so the line at
+    scaled offset dp crosses its interior iff dp < top < dp + length, with
+    top the larger end offset and length m for an N step, n for an E step.
+    So for a bit set tops of top offsets, (tops >> dp & window).bit_count()
+    counts the steps of that kind the line crosses, the window being bits
+    1 .. length - 1."""
+    return ((1 << (m - 1)) - 1) << 1, ((1 << (n - 1)) - 1) << 1
+
+
 def crossing_windows(path: DyckPath) -> tuple[int, int, int, int]:
     """(n_tops, n_window, e_tops, e_window), from one walk over the path:
-    the line at scaled offset dp crosses (n_tops >> dp & n_window).bit_count()
-    of its N steps and (e_tops >> dp & e_window).bit_count() of its E steps,
-    counting only crossings interior to a step.
-
-    A step sweeps the offsets between its two ends, so the line at offset
-    dp crosses its interior iff dp < top < dp + length, with top the larger
-    end offset and length m for an N step, n for an E step.  So n_tops and
-    e_tops are the top offsets of each kind, as bit sets shifted down by one
-    so that the window starts at bit dp, and each window is length - 1 bits
-    wide.
+    the top offsets of its N and E steps as bit sets, and count_windows, so
+    that the line at scaled offset dp crosses
+    (n_tops >> dp & n_window).bit_count() of its N steps and
+    (e_tops >> dp & e_window).bit_count() of its E steps, counting only
+    crossings interior to a step.
     """
     m, n = path.params.m, path.params.n
     # row y's E steps end at (hi, y), at offset d = m*y - n*hi, and top out
@@ -335,7 +341,8 @@ def crossing_windows(path: DyckPath) -> tuple[int, int, int, int]:
         my += m
     # row n, whose E steps end at (m, n), at offset 0
     e_tops |= strides[m - lo]
-    return n_tops >> 1, (1 << (m - 1)) - 1, e_tops >> 1, (1 << (n - 1)) - 1
+    n_window, e_window = count_windows(m, n)
+    return n_tops, n_window, e_tops, e_window
 
 
 def crossings(path: DyckPath, points: Iterable[Point]) -> Iterator[tuple[int, int]]:
@@ -378,8 +385,8 @@ def k_totals(path: DyckPath) -> tuple[int, int]:
     The line at offset dp crosses row y's N step, which runs from offset
     d = m*y - n*columns[y] up to d + m, iff d < dp < d + m.  So each sum
     counts, over the N steps, the set's offsets strictly inside that
-    window; the set is a bit set, as no two lattice points in range share
-    an offset.
+    range, the N window of count_windows read from d up; the set is a bit
+    set, as no two lattice points in range share an offset.
     """
     m, n = path.params.m, path.params.n
     strides = e_strides(m, n)
@@ -393,10 +400,10 @@ def k_totals(path: DyckPath) -> tuple[int, int]:
         if x > prev:
             inner |= 1 << (m * y - n * x)
         prev = x
-    window = (1 << (m - 1)) - 1
+    window, _ = count_windows(m, n)
     k_interior = k_inner = 0
     for y, x in enumerate(path.columns):
-        d = m * y - n * x + 1
+        d = m * y - n * x
         k_interior += (interior >> d & window).bit_count()
         k_inner += (inner >> d & window).bit_count()
     return k_interior, k_inner

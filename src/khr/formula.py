@@ -13,7 +13,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .dyck import DyckPath, KnotParams, area, e_strides, hplus, k_values, vstar
+from .dyck import DyckPath, KnotParams, area, count_windows, e_strides, hplus, k_values, vstar
 from .laurent import A, Invariant, LaurentPoly, Monomial, q_power
 
 # (area, hplus, k over the trimmed outer corners in ascending order): all a
@@ -69,9 +69,7 @@ def records(params: KnotParams) -> Iterator[PathRecord]:
     stride = e_strides(m, n)
     window = (1 << (m + n - 1)) - 1
     contact = 1 | 1 << (m + n)
-    # the k windows, one bit up: offset dp's window is bits dp+1 .. of (tops >> dp)
-    n_window = ((1 << (m - 1)) - 1) << 1
-    e_window = ((1 << (n - 1)) - 1) << 1
+    n_window, e_window = count_windows(m, n)
     mn = m * n
     stack = [(-1, 0, 0, 0, 0, 0, (), (), 0)]
     pop, push = stack.pop, stack.append

@@ -374,11 +374,11 @@ def leaf_factors(
     product(key).times_monomial(*monomial).
 
     A weight with one term only scales and shifts: its coefficients multiply
-    and its exponents add.  Each step's weight is looked up once, and each
-    key's product is multiplied out once, kept for the functions' lifetime,
-    one knot's evaluation.
+    and its exponents add.  Each step's one term (None where it has more) is
+    looked up once, and each key's product is multiplied out once, from the
+    weights of its steps, both kept for the functions' lifetime, one knot's
+    evaluation.
     """
-    weights: dict[Step, LaurentPoly] = {}
     monomials: dict[Step, Monomial | None] = {}
     products: dict[tuple[Step, ...], LaurentPoly] = {}
 
@@ -389,8 +389,7 @@ def leaf_factors(
             try:
                 term = monomials[step]
             except KeyError:
-                weight = weights[step] = profile.weight(*step)
-                term = monomials[step] = single_term(weight)
+                term = monomials[step] = single_term(profile.weight(*step))
             if term is None:
                 others.append(step)
             else:
@@ -407,7 +406,7 @@ def leaf_factors(
         if poly is None:
             poly = profile.base.num
             for step in key:
-                poly = poly * weights[step]
+                poly = poly * profile.weight(*step)
             products[key] = poly
         return poly
 

@@ -73,50 +73,6 @@ def identity_suite(params: KnotParams) -> dict:
     return {"pass": passed, "paths": rows}
 
 
-def _cross_leaves(
-    params: KnotParams, product: Callable[[Hashable], LaurentPoly]
-) -> tuple[Callable[[int, DyckPath, Hashable, Monomial], None], dict[int, str]]:
-    """(check, mismatches): check(rank, path, key, monomial) compares one
-    HHH sweep leaf, product(key).times_monomial(*monomial) over (1 - t),
-    with the closed-form term of the path at rank, over (1 - t) too, and
-    files a mismatch string under rank in mismatches.
-
-    The closed-form term comes factored too (formula.term_factors), so each
-    (key, k tuple) pair compares its two products once.  Where they are
-    equal and nonzero, the leaf matches iff the monomials do, as Laurent
-    polynomials have no zero divisors; elsewhere the two are multiplied
-    out and compared.  A mismatch is normalized only to print it.
-    """
-    records = path_data(params)
-    g = genus(params)
-    corners: dict[tuple[int, ...], LaurentPoly] = {}
-    same: dict[tuple[Hashable, tuple[int, ...]], bool] = {}
-    mismatches: dict[int, str] = {}
-
-    def corner(ks: tuple[int, ...]) -> LaurentPoly:
-        poly = corners.get(ks)
-        if poly is None:
-            poly = corners[ks] = corner_product(ks)
-        return poly
-
-    def check(rank: int, path: DyckPath, key: Hashable, monomial: Monomial) -> None:
-        ks, shift = term_factors(records[rank], g)
-        equal = same.get((key, ks))
-        if equal is None:
-            poly = product(key)
-            equal = same[key, ks] = bool(poly) and poly == corner(ks)
-        if equal:
-            if monomial == shift:
-                return
-        elif product(key).times_monomial(*monomial) == corner(ks).times_monomial(*shift):
-            return
-        leaf = Invariant(product(key).times_monomial(*monomial), 1)
-        term = Invariant(corner(ks).times_monomial(*shift), 1)
-        mismatches[rank] = f"{path}: sweep {leaf}, closed form {term}"
-
-    return check, mismatches
-
-
 def catalan_check(params: KnotParams) -> dict:
     """Counting specialization: the unnormalized numerator at a=0, q=t=1
     must count the Dyck paths."""
@@ -138,50 +94,46 @@ def symmetry_checks(params: KnotParams) -> dict:
     }
 
 
-def _ratio_rows(
-    hhh_product: Callable[[Hashable], LaurentPoly],
-    toric_product: Callable[[Hashable], LaurentPoly],
-) -> Callable[[DyckPath, Hashable, Monomial, Hashable, Monomial], dict]:
-    """The function from one leaf's path and its two factored numerators,
-    HHH and scalar, to its ratio row: the ratio of the scalar leaf to
-    (1-a)(1-t) times the HHH leaf, which must be a signed monomial.  Every
-    HHH leaf sits over (1 - t) and every scalar leaf over 1, so that ratio
-    is the scalar numerator's to (1-a) times the HHH one.
+# a leaf kept factored, its key's product times its monomial: (key,
+# monomial) from sweep.leaf_factors, or (k tuple, shift) from
+# formula.term_factors
+Factored = tuple[Hashable, Monomial]
 
-    Each (HHH key, scalar key) pair's product ratio is taken once.  Every
-    one-term weight of both profiles has coefficient +-1, so every leaf
-    monomial does too, which is checked, and the leaf's ratio is its pair's
-    ratio times the scalar monomial over the HHH one; there is none where
-    the pair's ratio has none.
+
+def _leaf_ratio(
+    num_product: Callable[[Hashable], LaurentPoly], den_product: Callable[[Hashable], LaurentPoly]
+) -> Callable[[DyckPath, Factored, Factored], Optional[Monomial]]:
+    """The function from one path's two factored leaves, numerator and
+    denominator, to their quotient as a signed monomial (coefficient, ea,
+    q2, t2), or None where there is none; num_product and den_product take
+    each side's keys to their products.
+
+    Each (numerator key, denominator key) pair's product ratio is taken
+    once.  Both leaf monomials must have coefficient +-1, which is checked,
+    so the leaf's ratio is its pair's ratio times the numerator monomial
+    over the denominator one; there is none where the pair's ratio has none.
     """
-    one_minus_a = ONE - A
     ratios: dict[tuple[Hashable, Hashable], Optional[Monomial]] = {}
-    # few leaves have a ratio of their own, so each distinct one is rendered once
-    texts: dict[Optional[Monomial], str] = {None: "not a monomial"}
 
-    def row(
-        path: DyckPath, h_key: Hashable, h_mono: Monomial, t_key: Hashable, t_mono: Monomial
-    ) -> dict:
-        hc, ha, hq, ht = h_mono
-        tc, ta, tq, tt = t_mono
-        if hc * hc != 1 or tc * tc != 1:
-            raise RuntimeError(f"the leaf monomials of {path} have coefficients {hc} and {tc}")
-        pair = (h_key, t_key)
-        if pair in ratios:
-            ratio = ratios[pair]
-        else:
-            base = monomial_ratio(toric_product(t_key), one_minus_a * hhh_product(h_key))
-            ratio = ratios[pair] = None if base is None else single_term(base)
-        if ratio is not None:
-            c, ea, q2, t2 = ratio
-            # hc is +-1, its own inverse
-            ratio = (c * hc * tc, ea + ta - ha, q2 + tq - hq, t2 + tt - ht)
-        text = texts.get(ratio)
-        if text is None:
-            text = texts[ratio] = LaurentPoly.monomial(*ratio).text()
-        return {"path": str(path), "is_monomial": ratio is not None, "ratio": text}
+    def ratio(path: DyckPath, num: Factored, den: Factored) -> Optional[Monomial]:
+        num_key, (nc, na, nq, nt) = num
+        den_key, (dc, da, dq, dt) = den
+        if nc * nc != 1 or dc * dc != 1:
+            raise RuntimeError(f"the leaf monomials of {path} have coefficients {dc} and {nc}")
+        pair = (num_key, den_key)
+        # one hash of the pair per leaf: False marks a pair not yet seen,
+        # None one whose products have no monomial ratio
+        base = ratios.get(pair, False)
+        if base is False:
+            base = monomial_ratio(num_product(num_key), den_product(den_key))
+            base = ratios[pair] = None if base is None else single_term(base)
+        if base is None:
+            return None
+        c, ea, q2, t2 = base
+        # dc is +-1, its own inverse
+        return c * nc * dc, ea + na - da, q2 + nq - dq, t2 + nt - dt
 
-    return row
+    return ratio
 
 
 def _streamed_sections(
@@ -193,32 +145,53 @@ def _streamed_sections(
 
     The HHH total is the sum over keys of each key's product times the sum
     of its leaves' monomials, over (1 - t), and it must equal hhh_direct.
-    Only the mismatch strings and the ratio rows are kept, by rank, so they
-    come out in enumeration order.  Without the ratio section no scalar
-    leaf is factored.
+    Both sections ask _leaf_ratio of each leaf: the cross-check of the HHH
+    leaf over its path's closed-form term, the ratio table of the scalar
+    leaf over (1 - a) times the HHH leaf.  Only the mismatch strings and
+    the ratio rows are kept, by rank, so they come out in enumeration
+    order.  Without the ratio section no scalar leaf is factored.
     """
     hhh_factor, hhh_product = leaf_factors(HHH_PROFILE)
     if cross:
-        check, mismatches = _cross_leaves(params, hhh_product)
+        records = path_data(params)
+        g = genus(params)
+        # a leaf matches its closed-form term iff their ratio is exactly 1
+        to_term = _leaf_ratio(hhh_product, corner_product)
+        mismatches: dict[int, str] = {}
         sums: dict[tuple, dict[tuple[int, int, int], int]] = {}
     if ratios:
         toric_factor, toric_product = leaf_factors(TORIC_PROFILE)
-        row = _ratio_rows(hhh_product, toric_product)
+        # every HHH leaf sits over (1 - t) and every scalar leaf over 1, so
+        # the scalar leaf over (1-a)(1-t) times the HHH leaf is the ratio of
+        # their numerators over (1 - a)
+        one_minus_a = ONE - A
+        to_hhh = _leaf_ratio(toric_product, lambda key: one_minus_a * hhh_product(key))
+        # few leaves have a ratio of their own, so each distinct one is rendered once
+        texts: dict[Optional[Monomial], str] = {None: "not a monomial"}
         rows: list = [None] * rational_catalan(params)
     leaves = 0
     for rank, path, steps in ranked_branches(params):
         leaves += 1
         tags = steps.values()
-        key, monomial = hhh_factor(tags)
+        leaf = hhh_factor(tags)
         if cross:
-            check(rank, path, key, monomial)
-            c, ea, q2, t2 = monomial
+            key, (c, ea, q2, t2) = leaf
+            term = term_factors(records[rank], g)
+            if to_term(path, leaf, term) != (1, 0, 0, 0):
+                ks, shift = term
+                sweep_leaf = Invariant(hhh_product(key).times_monomial(c, ea, q2, t2), 1)
+                closed = Invariant(corner_product(ks).times_monomial(*shift), 1)
+                mismatches[rank] = f"{path}: sweep {sweep_leaf}, closed form {closed}"
             terms = sums.get(key)
             if terms is None:
                 terms = sums[key] = {}
             terms[ea, q2, t2] = terms.get((ea, q2, t2), 0) + c
         if ratios:
-            rows[rank] = row(path, key, monomial, *toric_factor(tags))
+            ratio = to_hhh(path, toric_factor(tags), leaf)
+            text = texts.get(ratio)
+            if text is None:
+                text = texts[ratio] = LaurentPoly.monomial(*ratio).text()
+            rows[rank] = {"path": str(path), "is_monomial": ratio is not None, "ratio": text}
     cross_section = ratio_section = None
     if cross:
         total = Invariant(
@@ -234,14 +207,14 @@ def _streamed_sections(
             "mismatches": [mismatches[rank] for rank in sorted(mismatches)],
         }
     if ratios:
-        all_monomial = all(leaf["is_monomial"] for leaf in rows)
+        all_monomial = all(row["is_monomial"] for row in rows)
         # the sweep starts from one interval on the n strands of the braid
         n = params.n
         prediction = LaurentPoly.monomial(1 if n % 2 == 0 else -1, q2=1 - n)
         ratio_section = {
             "pass": all_monomial,
             "all_monomial": all_monomial,
-            "shares_global_monomial": all_monomial and len({leaf["ratio"] for leaf in rows}) <= 1,
+            "shares_global_monomial": all_monomial and len({row["ratio"] for row in rows}) <= 1,
             "single_interval_prediction": prediction.text(),
             "leaves": rows,
         }

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import khr.verify
 from khr.dyck import KnotParams, coprime_pairs, enumerate_paths, rational_catalan, suffix_counts
-from khr.formula import hhh_direct, hhh_path_term, path_data
-from khr.laurent import A, Invariant, LaurentPoly, ONE, T, monomial_ratio, poly_sum
+from khr.formula import corner_product, hhh_direct, hhh_path_term, path_data
+from khr.laurent import A, Invariant, LaurentPoly, ONE, T, monomial_ratio, poly_sum, q_power
 from khr.sweep import HHH_PROFILE, TORIC_PROFILE, evaluate
 from khr.verify import (
     catalan_check,
@@ -234,6 +234,60 @@ class TestReport:
         assert any("overall: pass" in line for line in lines)
 
 
+class TestLeafRatio:
+    # the one relation both per-leaf suites ask: leaf over leaf, each kept
+    # factored as (key, monomial), as a signed monomial
+    path = enumerate_paths(KnotParams(3, 2))[0]
+
+    def test_needs_unit_coefficients(self):
+        # a leaf monomial with coefficient 2 has no +-1 inverse to scale its
+        # pair's ratio by
+        ratio = khr.verify._leaf_ratio(lambda key: ONE, lambda key: ONE - A)
+        assert ratio(self.path, ((), (-1, 0, 0, 0)), ((), (1, 0, 0, 0))) is None
+        with pytest.raises(RuntimeError, match="^the leaf monomials of NNEEE have coefficients 2 and 1$"):
+            ratio(self.path, ((), (1, 0, 0, 0)), ((), (2, 0, 0, 0)))
+
+    # q (q - a) is q times corner_product((1,)) = q - a, and q^2 - a is no
+    # monomial times it
+    products = {
+        "shifted": LaurentPoly.monomial(1, q2=2) * (q_power(1) - A),
+        "other": q_power(2) - A,
+    }
+    corner = ((1,), (1, 0, 2, 0))
+
+    def cross_ratio(self, calls):
+        def num_product(key):
+            calls.append(key)
+            return self.products[key]
+
+        return khr.verify._leaf_ratio(num_product, corner_product)
+
+    def test_equal_leaves_give_one(self):
+        # q (q - a) times 1 is (q - a) times q: the ratio is exactly 1, so
+        # the cross-check passes this leaf
+        leaf = ("shifted", (1, 0, 0, 0))
+        ks, shift = self.corner
+        assert self.products["shifted"] == corner_product(ks).times_monomial(*shift)
+        assert self.cross_ratio([])(self.path, leaf, self.corner) == (1, 0, 0, 0)
+
+    def test_other_monomial_is_a_mismatch(self):
+        # the same products under other leaf monomials: a ratio other than 1
+        ratio = self.cross_ratio([])
+        assert ratio(self.path, ("shifted", (-1, 0, 0, 0)), self.corner) == (-1, 0, 0, 0)
+        assert ratio(self.path, ("shifted", (1, 1, 0, 2)), self.corner) == (1, 1, 0, 2)
+        assert ratio(self.path, ("shifted", (1, 0, 0, 0)), ((1,), (-1, 0, 0, 0))) == (-1, 0, 2, 0)
+
+    def test_no_monomial_ratio(self):
+        # no monomial takes q - a to q^2 - a, under any leaf monomials, and
+        # each key pair's products are divided once
+        calls = []
+        ratio = self.cross_ratio(calls)
+        assert ratio(self.path, ("other", (1, 0, 0, 0)), self.corner) is None
+        assert ratio(self.path, ("other", (-1, 2, 4, 6)), ((1,), (1, 0, 0, 0))) is None
+        assert ratio(self.path, ("shifted", (1, 0, 0, 0)), self.corner) == (1, 0, 0, 0)
+        assert calls == ["other", "shifted"]
+
+
 class TestSharedSweep:
     def test_one_sweep_per_profile(self, monkeypatch):
         # one walk of the branches per knot carries every profile the
@@ -335,16 +389,6 @@ class TestStreamedSweep:
             for suites in ({"cross"}, {"ratios"}):
                 with pytest.raises(RuntimeError, match=f"^{leaves} leaves, not one on each of the 7 paths$"):
                     run_suite(params, suites=suites)
-
-    def test_ratio_row_needs_unit_coefficients(self):
-        # a leaf monomial with coefficient 2 has no +-1 inverse to scale its
-        # pair's ratio by
-        params = KnotParams(3, 2)
-        path = enumerate_paths(params)[0]
-        row = khr.verify._ratio_rows(lambda key: ONE, lambda key: ONE)
-        assert row(path, (), (1, 0, 0, 0), (), (-1, 0, 0, 0))["is_monomial"] is False
-        with pytest.raises(RuntimeError, match="^the leaf monomials of NNEEE have coefficients 2 and 1$"):
-            row(path, (), (2, 0, 0, 0), (), (1, 0, 0, 0))
 
     @pytest.mark.parametrize("edit", ["monomial", "key"])
     def test_tampered_factored_leaf(self, monkeypatch, edit):
