@@ -5,10 +5,11 @@ refused oversized run), 3 unsupported torus-link input, 141 broken stdout pipe.
 
 Results of `compute` can be cached as JSON files under a directory given by
 --cache-dir or the KHR_CACHE_DIR environment variable; the key embeds the
-package version, so a version bump invalidates every entry.  A cache file
-that fails to read, to parse or to round-trip is discarded with a warning and
-recomputed, and a store that fails is reported with a warning: the cache is
-best-effort and never changes a result or an exit code.
+package version, so a version bump invalidates every entry.  An entry is
+one compact line; entries in the older indented layout read the same.  A
+cache file that fails to read, to parse or to round-trip is discarded with a
+warning and recomputed, and a store that fails is reported with a warning:
+the cache is best-effort and never changes a result or an exit code.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .dyck import (
     stats_json,
 )
 from .formula import euler_characteristic, hhh_direct, superpolynomial
-from .laurent import Invariant, invariant_from_json, invariant_to_json
+from .laurent import Invariant, invariant_from_json, invariant_json_text, invariant_to_json
 from .verify import SUITES, catalan_check, report_lines, run_suite
 
 EXIT_OK = 0
@@ -162,9 +163,16 @@ def cache_load(directory: Path, m: int, n: int, form: str) -> Optional[Invariant
     return value
 
 
-def cache_store(directory: Path, m: int, n: int, form: str, value: Invariant) -> None:
+def cache_store(directory: Path, m: int, n: int, form: str, value: Invariant) -> str:
+    """Write the entry for value and return invariant_json_text(value), the
+    text the entry embeds.  The entry is json.dumps(_cache_payload(...),
+    sort_keys=True): one line, with the payload's keys in sorted order."""
     path = _cache_path(directory, m, n, form)
-    payload = json.dumps(_cache_payload(m, n, form, value), sort_keys=True, indent=1)
+    text = invariant_json_text(value)
+    payload = (
+        f'{{"form": {json.dumps(form)}, "invariant": {text}, "m": {m}, "n": {n}, '
+        f'"version": {json.dumps(CACHE_VERSION)}}}'
+    )
     tmp = None
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -177,6 +185,7 @@ def cache_store(directory: Path, m: int, n: int, form: str, value: Invariant) ->
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+    return text
 
 
 # -- subcommands --------------------------------------------------------------
@@ -227,15 +236,15 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     params = KnotParams(args.m, args.n)
     _guard_size(params, args.max_leaves)
     directory = _cache_dir(args.cache_dir)
-    value = None
+    value = text = None
     if directory is not None:
         value = cache_load(directory, args.m, args.n, args.form)
     if value is None:
         value = _compute_form(params, args.form)
         if directory is not None:
-            cache_store(directory, args.m, args.n, args.form, value)
+            text = cache_store(directory, args.m, args.n, args.form, value)
     if args.format == "json":
-        print(json.dumps(invariant_to_json(value), sort_keys=True))
+        print(text if text is not None else invariant_json_text(value))
     elif args.format == "latex":
         print(value.latex())
     else:

@@ -47,7 +47,9 @@ class LaurentPoly:
         return iter(self._terms.items())
 
     def sorted_items(self) -> list[tuple[ExponentTriple, int]]:
-        return sorted(self._terms.items())
+        # keys are unique, so sorting them alone gives the order of the pairs
+        terms = self._terms
+        return [(exp, terms[exp]) for exp in sorted(terms)]
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -383,6 +385,15 @@ def poly_from_json(items: Iterable[Mapping]) -> LaurentPoly:
 
 def invariant_to_json(v: Invariant) -> dict:
     return {"num": poly_to_json(v.num), "one_minus_t_pow": v.dpow}
+
+
+def invariant_json_text(v: Invariant) -> str:
+    """The text of json.dumps(invariant_to_json(v), sort_keys=True), written
+    directly: the encoder would first need a dict per term."""
+    terms = ", ".join(
+        [f'{{"a": {ea}, "c": "{c}", "q2": {q2}, "t2": {t2}}}' for (ea, q2, t2), c in v.num.sorted_items()]
+    )
+    return f'{{"num": [{terms}], "one_minus_t_pow": {v.dpow}}}'
 
 
 def invariant_from_json(obj: Mapping) -> Invariant:

@@ -11,7 +11,7 @@ import khr.cli as cli
 import khr.verify
 from khr.dyck import KnotParams
 from khr.formula import superpolynomial
-from khr.laurent import ONE, Invariant, invariant_from_json
+from khr.laurent import ONE, Invariant, invariant_from_json, invariant_to_json
 
 
 def run(capsys, *argv):
@@ -78,6 +78,30 @@ class TestCache:
         assert len(files) == 1
         code, second, _ = run(capsys, "compute", "3", "2", "--cache-dir", str(tmp_path))
         assert code == 0 and second == first
+
+    def test_miss_writes_one_compact_sorted_line(self, capsys, tmp_path):
+        code, out, err = run(capsys, "compute", "7", "5", "--format", "json", "--cache-dir", str(tmp_path))
+        assert code == 0 and err == ""
+        (entry,) = tmp_path.glob("compute_*.json")
+        value = superpolynomial(KnotParams(7, 5))
+        assert entry.read_text() == json.dumps(cli._cache_payload(7, 5, "P", value), sort_keys=True)
+        assert out == json.dumps(invariant_to_json(value), sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_entry_in_indented_layout_still_hits(self, capsys, tmp_path, fmt):
+        # entries written before the compact layout were indent=1; they are
+        # read as they stand, not rewritten
+        argv = ("compute", "7", "5", "--format", fmt)
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+        entry = tmp_path / f"compute_7_5_P_v{cli.CACHE_VERSION}.json"
+        payload = cli._cache_payload(7, 5, "P", superpolynomial(KnotParams(7, 5)))
+        entry.write_text(json.dumps(payload, sort_keys=True, indent=1))
+        before = entry.stat()
+        assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == (0, want, "")
+        after = entry.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert list(tmp_path.iterdir()) == [entry]
 
     @pytest.mark.parametrize(
         "corrupt",

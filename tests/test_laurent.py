@@ -1,4 +1,5 @@
 import functools
+import json
 import operator
 import re
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import khr.laurent
+from khr.dyck import coprime_pairs
+from khr.formula import euler_characteristic, hhh_direct, superpolynomial
 from khr.laurent import (
     A,
     Invariant,
@@ -16,6 +19,7 @@ from khr.laurent import (
     ZERO,
     divide_exact_by_one_minus_t,
     invariant_from_json,
+    invariant_json_text,
     invariant_to_json,
     monomial_ratio,
     poly_from_json,
@@ -342,6 +346,37 @@ class TestInvariant:
         data = poly_to_json(mono(big, ea=1))
         assert data == [{"a": 1, "q2": 0, "t2": 0, "c": str(big)}]
         assert poly_from_json(data) == mono(big, ea=1)
+
+
+def encoder_text(v):
+    return json.dumps(invariant_to_json(v), sort_keys=True)
+
+
+class TestJsonText:
+    @pytest.mark.parametrize("params", coprime_pairs(14), ids=str)
+    def test_matches_the_encoder_on_every_form(self, params):
+        p = superpolynomial(params)
+        for v in (p, hhh_direct(params), euler_characteristic(p)):
+            assert invariant_json_text(v) == encoder_text(v)
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            Invariant(ZERO, 0),
+            Invariant(ONE, 0),
+            Invariant(mono(-3, ea=-2, q2=-7, t2=-1) + mono(5, q2=3), 0),
+            Invariant(mono(2**64 + 1, ea=1) - mono(3**70, t2=-5), 2),
+        ],
+        ids=["zero", "one", "negative-exponents", "beyond-2^64"],
+    )
+    def test_matches_the_encoder_on_edge_cases(self, v):
+        assert invariant_json_text(v) == encoder_text(v)
+        assert invariant_from_json(json.loads(invariant_json_text(v))) == v
+
+    @given(polys(), st.integers(0, 2))
+    def test_matches_the_encoder(self, p, d):
+        v = Invariant(p, d)
+        assert invariant_json_text(v) == encoder_text(v)
 
 
 class TestSpecializeCount:
