@@ -44,9 +44,11 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process that
 CACHE_ENV = "KHR_CACHE_DIR"
 CACHE_VERSION = __version__
 DEFAULT_MAX_LEAVES = 10**7
-# verify streams the sweep but holds a ratio row and an identity row per
-# path, so it stops lower: its peak RSS (os.wait4) is 26 MB at (10,9),
-# 47 MB at (11,10) and 120 MB at (12,11), about 1.7 KB per extra path
+# verify holds each sweep leaf factored until it sorts them into
+# enumeration order, and a ratio row and an identity row per path, so it
+# stops lower: its peak RSS (os.wait4) is 22 MB at (10,9), 41 MB at (11,10)
+# and 103 MB at (12,11) with text output, 27, 49 and 130 MB with json,
+# about 1.5 and 1.9 KB per extra path
 VERIFY_MAX_LEAVES = 10**5
 
 FORMS = ("P", "HHH", "euler")

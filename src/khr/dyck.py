@@ -145,42 +145,6 @@ def enumerate_paths(params: KnotParams) -> tuple[DyckPath, ...]:
     return tuple(DyckPath(params, cols) for cols in prefixes)
 
 
-@lru_cache(maxsize=8)
-def suffix_counts(params: KnotParams) -> tuple[tuple[int, ...], ...]:
-    """suffix_counts(params)[y - 1][x], for rows y = 1 .. n-1: the number of
-    ways to place the N steps of rows y .. n-1 with row y's at column x or
-    further right, zero past floor(m*y/n).
-
-    Each row's entry at x adds the next row's entry at x, the ways with
-    row y's N step at exactly x, to its own entry at x + 1.
-    """
-    m, n = params.m, params.n
-    rows: list[tuple[int, ...]] = []
-    after: tuple[int, ...] | None = None  # row y + 1's entries; none after row n-1
-    for y in range(n - 1, 0, -1):
-        top = m * y // n
-        row = [0] * (top + 2)
-        for x in range(top, -1, -1):
-            row[x] = row[x + 1] + (1 if after is None else after[x])
-        after = tuple(row)
-        rows.append(after)
-    rows.reverse()
-    return tuple(rows)
-
-
-def path_rank(path: DyckPath) -> int:
-    """The index of path in enumerate_paths(path.params), in O(n).
-
-    The paths before it are those that first differ from it in some row y
-    by an N step further left: rows 0 .. y-1 as in path, row y's column
-    from columns[y-1] to columns[y] - 1, and any valid rest.
-    """
-    cols = path.columns
-    return sum(
-        row[lo] - row[hi] for row, lo, hi in zip(suffix_counts(path.params), cols, cols[1:])
-    )
-
-
 def area(path: DyckPath) -> int:
     """Unit cells whose interior lies fully between the path and the diagonal.
 

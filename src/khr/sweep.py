@@ -28,15 +28,16 @@ are reconstructed into the path and validated against its statistics; the
 leaf keeps only that path and its numerator.  The tree does not depend on
 the weights, so it is walked once without them, and each profile weighs a
 leaf from the (tag, k) values of its steps alone, kept factored as a key
-and a monomial.  ranked_branches ranks each leaf's path in enumeration
-order as the branch ends, so a consumer can check the leaves one at a
-time, in the walk's order, and still find each one's place.
+and a monomial.  ordered_leaves weighs each leaf as its branch ends, keeps
+only its path and that weight, and sorts the leaves by their paths'
+columns, which is enumeration order, so each consumer reads them in the
+order the closed form sums its paths.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .dyck import (
     DyckPath,
@@ -46,7 +47,6 @@ from .dyck import (
     crossing_windows,
     distance,
     most_distant,
-    path_rank,
     rational_catalan,
     row_spans,
 )
@@ -380,6 +380,7 @@ def leaf_factors(
     evaluation.
     """
     monomials: dict[Step, Monomial | None] = {}
+    keys: dict[tuple[Step, ...], tuple[Step, ...]] = {}
     products: dict[tuple[Step, ...], LaurentPoly] = {}
 
     def factor(steps: Iterable[Step]) -> Factored:
@@ -399,7 +400,10 @@ def leaf_factors(
                 q2 += q
                 t2 += t
         others.sort()
-        return tuple(others), (coeff, ea, q2, t2)
+        key = tuple(others)
+        # one object per distinct key: a leaf held until ordered_leaves
+        # sorts keeps neither its own key tuple nor that key's step tuples
+        return keys.setdefault(key, key), (coeff, ea, q2, t2)
 
     def product(key: tuple[Step, ...]) -> LaurentPoly:
         poly = products.get(key)
@@ -413,45 +417,52 @@ def leaf_factors(
     return factor, product
 
 
-def ranked_branches(params: KnotParams) -> Iterator[tuple[int, DyckPath, dict[Point, Step]]]:
-    """(rank, path, steps) for each branch of the one walk, as it ends:
-    its steps, reconstructed into their checked path, and that path's
-    index in enumeration order (dyck.path_rank).
+# what a consumer of ordered_leaves weighs each leaf to
+W = TypeVar("W")
 
-    The leaf-set guard: each rank is marked in a bytearray of one byte per
-    path; a rank marked twice raises at once, and a rank still unmarked
-    when the walk ends raises then.  So the leaves are one on each path.
+
+def ordered_leaves(
+    params: KnotParams, weigh: Callable[[DyckPath, Iterable[Step]], W]
+) -> list[tuple[DyckPath, W]]:
+    """(path, weigh(path, steps)) for each branch of the one walk, sorted by
+    path.columns, which is enumeration order: each branch is reconstructed
+    into its checked path and weighed from its (tag, k) steps as it ends,
+    and its step map is then dropped.
+
+    The leaf-set guard: a path reached twice raises at once, before any
+    later branch is read, and too few leaves raise when the walk ends.  So
+    the leaves are one on each path.
     """
     count = rational_catalan(params)
-    marked = bytearray(count)
-    leaves = 0
+    seen: set[tuple[int, ...]] = set()
+    leaves: list[tuple[DyckPath, W]] = []
     for steps, terminal in branches(params):
         path = reconstruct_path(steps, terminal, params)
-        rank = path_rank(path)
-        leaves += 1
-        if marked[rank]:
-            raise RuntimeError(f"{leaves} leaves, not one on each of the {count} paths")
-        marked[rank] = 1
-        yield rank, path, steps
-    if 0 in marked:
-        raise RuntimeError(f"{leaves} leaves, not one on each of the {count} paths")
+        if path.columns in seen:
+            raise RuntimeError(f"{len(seen) + 1} leaves, not one on each of the {count} paths")
+        seen.add(path.columns)
+        leaves.append((path, weigh(path, steps.values())))
+    if len(leaves) != count:
+        raise RuntimeError(f"{len(leaves)} leaves, not one on each of the {count} paths")
+    leaves.sort(key=lambda leaf: leaf[0].columns)
+    return leaves
 
 
 def evaluate(params: KnotParams, profile: WeightProfile) -> SweepResult:
     """The sweep of one profile, held: every leaf and the total.
 
-    Each branch of one walk of ranked_branches, reconstructed into its Dyck
-    path and validated, is weighed from its steps by leaf_factors and
-    expanded.  The leaves are placed by rank, so they come in enumeration
-    order, one on each path.  Each leaf numerator sits over the base's
-    (1 - t) power, stored once as dpow, so the total is one sum of
-    numerators, normalized once.
+    Each leaf of ordered_leaves, in enumeration order, one on each path, is
+    weighed from its steps by leaf_factors and expanded.  Each leaf
+    numerator sits over the base's (1 - t) power, stored once as dpow, so
+    the total is one sum of numerators, normalized once.
     """
     factor, product = leaf_factors(profile)
-    leaves: list = [None] * rational_catalan(params)
-    for rank, path, steps in ranked_branches(params):
-        key, monomial = factor(steps.values())
-        leaves[rank] = Leaf(path, product(key).times_monomial(*monomial))
+
+    def weigh(path: DyckPath, steps: Iterable[Step]) -> LaurentPoly:
+        key, monomial = factor(steps)
+        return product(key).times_monomial(*monomial)
+
+    leaves = [Leaf(path, num) for path, num in ordered_leaves(params, weigh)]
     dpow = profile.base.dpow
     total = Invariant(poly_sum([leaf.num for leaf in leaves]), dpow)
     return SweepResult(params, profile.name, total, dpow, leaves)

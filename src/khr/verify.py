@@ -32,7 +32,7 @@ from .laurent import (
     single_term,
     specialize_count,
 )
-from .sweep import HHH_PROFILE, TORIC_PROFILE, leaf_factors, ranked_branches
+from .sweep import HHH_PROFILE, TORIC_PROFILE, Step, leaf_factors, ordered_leaves
 
 
 def identity_suite(params: KnotParams) -> dict:
@@ -136,29 +136,22 @@ def _leaf_ratio(
     return ratio
 
 
-def _streamed_sections(
+def _leaf_sections(
     params: KnotParams, cross: bool, ratios: bool
 ) -> tuple[Optional[dict], Optional[dict]]:
     """The cross-check and ratio sections (None where not asked for) from
-    one walk of sweep.ranked_branches, with each leaf checked as it arrives
-    and kept factored (sweep.leaf_factors); no leaf is held.
+    one walk of sweep.ordered_leaves, whose leaves come in enumeration
+    order, each HHH leaf kept factored (sweep.leaf_factors) and, when the
+    ratio section is asked for, with its ratio row, built as its leaf
+    arrives.  Without the ratio section no scalar leaf is factored.
 
-    The HHH total is the sum over keys of each key's product times the sum
-    of its leaves' monomials, over (1 - t), and it must equal hhh_direct.
     Both sections ask _leaf_ratio of each leaf: the cross-check of the HHH
     leaf over its path's closed-form term, the ratio table of the scalar
-    leaf over (1 - a) times the HHH leaf.  Only the mismatch strings and
-    the ratio rows are kept, by rank, so they come out in enumeration
-    order.  Without the ratio section no scalar leaf is factored.
+    leaf over (1 - a) times the HHH leaf.  The HHH total is the sum over
+    keys of each key's product times the sum of its leaves' monomials, over
+    (1 - t), and it must equal hhh_direct.
     """
     hhh_factor, hhh_product = leaf_factors(HHH_PROFILE)
-    if cross:
-        records = path_data(params)
-        g = genus(params)
-        # a leaf matches its closed-form term iff their ratio is exactly 1
-        to_term = _leaf_ratio(hhh_product, corner_product)
-        mismatches: dict[int, str] = {}
-        sums: dict[tuple, dict[tuple[int, int, int], int]] = {}
     if ratios:
         toric_factor, toric_product = leaf_factors(TORIC_PROFILE)
         # every HHH leaf sits over (1 - t) and every scalar leaf over 1, so
@@ -168,45 +161,51 @@ def _streamed_sections(
         to_hhh = _leaf_ratio(toric_product, lambda key: one_minus_a * hhh_product(key))
         # few leaves have a ratio of their own, so each distinct one is rendered once
         texts: dict[Optional[Monomial], str] = {None: "not a monomial"}
-        rows: list = [None] * rational_catalan(params)
-    leaves = 0
-    for rank, path, steps in ranked_branches(params):
-        leaves += 1
-        tags = steps.values()
-        leaf = hhh_factor(tags)
-        if cross:
+
+    def weigh(path: DyckPath, steps: Iterable[Step]) -> tuple[Factored, Optional[dict]]:
+        leaf = hhh_factor(steps)
+        if not ratios:
+            return leaf, None
+        ratio = to_hhh(path, toric_factor(steps), leaf)
+        text = texts.get(ratio)
+        if text is None:
+            text = texts[ratio] = LaurentPoly.monomial(*ratio).text()
+        return leaf, {"path": str(path), "is_monomial": ratio is not None, "ratio": text}
+
+    leaves = ordered_leaves(params, weigh)
+    cross_section = ratio_section = None
+    if cross:
+        g = genus(params)
+        # a leaf matches its closed-form term iff their ratio is exactly 1
+        to_term = _leaf_ratio(hhh_product, corner_product)
+        mismatches = []
+        sums: dict[Hashable, dict[tuple[int, int, int], int]] = {}
+        for (path, (leaf, _)), record in zip(leaves, path_data(params), strict=True):
             key, (c, ea, q2, t2) = leaf
-            term = term_factors(records[rank], g)
+            term = term_factors(record, g)
             if to_term(path, leaf, term) != (1, 0, 0, 0):
                 ks, shift = term
                 sweep_leaf = Invariant(hhh_product(key).times_monomial(c, ea, q2, t2), 1)
                 closed = Invariant(corner_product(ks).times_monomial(*shift), 1)
-                mismatches[rank] = f"{path}: sweep {sweep_leaf}, closed form {closed}"
+                mismatches.append(f"{path}: sweep {sweep_leaf}, closed form {closed}")
             terms = sums.get(key)
             if terms is None:
                 terms = sums[key] = {}
             terms[ea, q2, t2] = terms.get((ea, q2, t2), 0) + c
-        if ratios:
-            ratio = to_hhh(path, toric_factor(tags), leaf)
-            text = texts.get(ratio)
-            if text is None:
-                text = texts[ratio] = LaurentPoly.monomial(*ratio).text()
-            rows[rank] = {"path": str(path), "is_monomial": ratio is not None, "ratio": text}
-    cross_section = ratio_section = None
-    if cross:
         total = Invariant(
             poly_sum(hhh_product(key) * LaurentPoly(terms) for key, terms in sums.items()), 1
         )
         total_match = total == hhh_direct(params)
         expected_leaf_count = rational_catalan(params)
         cross_section = {
-            "pass": total_match and not mismatches and leaves == expected_leaf_count,
+            "pass": total_match and not mismatches and len(leaves) == expected_leaf_count,
             "total_match": total_match,
-            "leaf_count": leaves,
+            "leaf_count": len(leaves),
             "expected_leaf_count": expected_leaf_count,
-            "mismatches": [mismatches[rank] for rank in sorted(mismatches)],
+            "mismatches": mismatches,
         }
     if ratios:
+        rows = [row for _, (_, row) in leaves]
         all_monomial = all(row["is_monomial"] for row in rows)
         # the sweep starts from one interval on the n strands of the braid
         n = params.n
@@ -223,16 +222,16 @@ def _streamed_sections(
 
 def cross_check(params: KnotParams) -> dict:
     """The HHH sweep of params against the closed form, total and leaf by
-    leaf: the cross-check section of one streamed walk."""
-    return _streamed_sections(params, cross=True, ratios=False)[0]
+    leaf: the cross-check section of one walk of the sweep."""
+    return _leaf_sections(params, cross=True, ratios=False)[0]
 
 
 def leaf_ratio_report(params: KnotParams) -> dict:
     """Per-leaf ratio of the scalar sweep of params to (1-a)(1-t) times its
-    HHH sweep: the ratio section of one streamed walk.  Each ratio must be
+    HHH sweep: the ratio section of one walk of the sweep.  Each ratio must be
     a signed monomial; whether all leaves share a single monomial is
     reported but never required."""
-    return _streamed_sections(params, cross=False, ratios=True)[1]
+    return _leaf_sections(params, cross=False, ratios=True)[1]
 
 
 # suite name -> its section key in the report, in the order the suites run
@@ -255,9 +254,9 @@ def run_suite(
     overall_pass that counts the symmetry section only when external_strict
     is set.
 
-    The sweep is walked at most once, streamed (_streamed_sections):
-    "cross" and "ratios" share its HHH leaves, and "ratios" has the scalar
-    profile carried in the same walk.
+    The sweep is walked at most once (_leaf_sections): "cross" and
+    "ratios" share its HHH leaves, and "ratios" has the scalar profile
+    carried in the same walk.
     """
     selected = set(SUITES if suites is None else suites)
     unknown = selected - SUITES.keys()
@@ -267,7 +266,7 @@ def run_suite(
         raise ValueError("no suites selected: an empty selection checks nothing")
     cross = ratios = None
     if "cross" in selected or "ratios" in selected:
-        cross, ratios = _streamed_sections(params, "cross" in selected, "ratios" in selected)
+        cross, ratios = _leaf_sections(params, "cross" in selected, "ratios" in selected)
     runners = {
         "identities": lambda: identity_suite(params),
         "cross": lambda: cross,

@@ -23,10 +23,8 @@ from khr.dyck import (
     most_distant,
     opairs,
     pass_through_points,
-    path_rank,
     rational_catalan,
     stats_json,
-    suffix_counts,
     vstar,
 )
 
@@ -146,18 +144,6 @@ class TestEnumeration:
         total = math.comb(params.m + params.n, params.n)
         assert len(enumerate_paths(params)) == total // (params.m + params.n)
         assert rational_catalan(params) == total // (params.m + params.n)
-
-
-class TestRank:
-    def test_rank_is_the_enumeration_index(self):
-        for params in coprime_pairs(16):
-            paths = enumerate_paths(params)
-            assert [path_rank(p) for p in paths] == list(range(len(paths))), params
-
-    def test_suffix_counts_of_53(self):
-        # rows 1 and 2 of (5,3): row 1's N step at x <= 1, row 2's at x <= 3
-        assert suffix_counts(KnotParams(5, 3)) == ((7, 3, 0), (4, 3, 2, 1, 0))
-        assert suffix_counts(KnotParams(3, 1)) == ()
 
 
 class TestStatisticsExamples:

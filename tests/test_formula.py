@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from khr.dyck import DyckPath, KnotParams, coprime_pairs, enumerate_paths
+from khr.dyck import DyckPath, KnotParams, coprime_pairs, corners, enumerate_paths, k_values
 from khr.formula import (
     _assemble,
     corner_product,
@@ -24,12 +24,30 @@ from khr.formula import (
 from khr.laurent import A, Invariant, LaurentPoly, ONE, Q, T, ZERO, poly_sum, q_power
 from khr.sweep import HHH_PROFILE, evaluate
 
+from .oracles import brute_area, brute_corners, brute_hplus, brute_k, brute_vstar
+
 mono = LaurentPoly.monomial
 small_coprime = st.sampled_from(coprime_pairs(10))
 
 
 def path(m, n, word):
     return DyckPath.from_string(KnotParams(m, n), word)
+
+
+def transpose(word):
+    """The word of the transposed path: reversed, with N and E swapped."""
+    return word[::-1].translate(str.maketrans("NE", "EN"))
+
+
+def brute_ks(m, n, word, points):
+    """The sorted k values at points from the Fraction oracle, whose two
+    crossing counts must agree there."""
+    ks = []
+    for p in points:
+        vertical, horizontal = brute_k(m, n, word, p)
+        assert vertical == horizontal, (m, n, word, p)
+        ks.append(vertical)
+    return tuple(sorted(ks))
 
 
 def link_params(m, n):
@@ -190,6 +208,46 @@ class TestPathData:
         # NENEE: hplus 1, area 0, one trimmed corner (0, 1) with k = 1
         assert path_record(path(3, 2, "NENEE")) == (0, 1, (1,))
         assert path_record(path(3, 2, "NNEEE")) == (1, 0, ())
+
+
+class TestPathIdentities:
+    # external properties of the path statistics, not consequences of
+    # anything computed here
+
+    def test_transpose_record_from_the_oracles(self):
+        # the transpose of an (m, n) path is the (n, m) path of the reversed
+        # word with N and E swapped; its area, hplus and trimmed outer
+        # corners' k, from the Fraction oracles, are the path's record
+        for params in coprime_pairs(14):
+            m, n = params.m, params.n
+            for p in enumerate_paths(params):
+                word = transpose(str(p))
+                oracle = (
+                    brute_area(n, m, word),
+                    brute_hplus(n, m, word),
+                    brute_ks(n, m, word, brute_vstar(n, m, word)),
+                )
+                assert path_record(p) == oracle, (params, str(p))
+
+    def test_transpose_keeps_path_record(self):
+        for params in coprime_pairs(18):
+            swapped = params.swapped()
+            for p in enumerate_paths(params):
+                transposed = DyckPath.from_string(swapped, transpose(str(p)))
+                assert path_record(transposed) == path_record(p), (params, str(p))
+
+    def test_inner_and_trimmed_outer_corners_share_k(self):
+        # identity i4 compares the sums of the two k multisets; the Fraction
+        # oracle finds the multisets themselves equal, and so do the
+        # package's k_values at the inner corners and the records' tuples
+        for params in coprime_pairs(14):
+            m, n = params.m, params.n
+            for p, (_, _, ks) in zip(enumerate_paths(params), path_data(params), strict=True):
+                word = str(p)
+                _, inner = brute_corners(word)
+                oracle = brute_ks(m, n, word, inner)
+                assert oracle == brute_ks(m, n, word, brute_vstar(m, n, word)), (params, word)
+                assert tuple(sorted(k_values(p, corners(p)[1]))) == oracle == ks, (params, word)
 
 
 class TestAssemble:

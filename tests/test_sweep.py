@@ -34,6 +34,7 @@ from khr.sweep import (
     event_list,
     expected_steps,
     initial_coloring,
+    ordered_leaves,
     reconstruct_path,
 )
 
@@ -202,6 +203,16 @@ class TestEvaluateHHH:
             for p, (tag, k) in steps.items():
                 if tag in (Rule.SPLIT, Rule.KEEP, Rule.CONTRACT):
                     assert k == k_of(leaf.path, p)
+
+
+class TestOrderedLeaves:
+    def test_paths_are_the_enumeration(self):
+        # the sort by columns is enumeration order, and each leaf's weight
+        # was taken from its own path
+        for params in coprime_pairs(16):
+            leaves = ordered_leaves(params, lambda path, steps: path)
+            assert [path for path, _ in leaves] == list(enumerate_paths(params)), params
+            assert all(path is weight for path, weight in leaves), params
 
 
 class TestTotal:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import khr.verify
-from khr.dyck import KnotParams, coprime_pairs, enumerate_paths, rational_catalan, suffix_counts
+from khr.dyck import KnotParams, coprime_pairs, enumerate_paths, rational_catalan
 from khr.formula import corner_product, hhh_direct, hhh_path_term, path_data
 from khr.laurent import A, Invariant, LaurentPoly, ONE, T, monomial_ratio, poly_sum, q_power
 from khr.sweep import HHH_PROFILE, TORIC_PROFILE, evaluate
@@ -392,25 +392,29 @@ class TestStreamedSweep:
 
     @pytest.mark.parametrize("edit", ["monomial", "key"])
     def test_tampered_factored_leaf(self, monkeypatch, edit):
-        # the HHH leaf of rank 2 with its monomial times t, or with its key
-        # emptied, its product then the base numerator 1: the mismatch
-        # prints that leaf normalized, and the total no longer matches
+        # the HHH leaf of the third path in enumeration order with its
+        # monomial times t, or with its key emptied, its product then the
+        # base numerator 1: the mismatch prints that leaf normalized, and
+        # the total no longer matches
         params = KnotParams(5, 3)
-        rank = []
+        third = enumerate_paths(params)[2]
+        weighed = []
         monomials = []
-        walk, factors = khr.verify.ranked_branches, khr.verify.leaf_factors
+        ordered, factors = khr.verify.ordered_leaves, khr.verify.leaf_factors
 
-        def noting_walk(params):
-            for leaf in walk(params):
-                rank[:] = [leaf[0]]
-                yield leaf
+        def noting_leaves(params, weigh):
+            def noting_weigh(path, steps):
+                weighed[:] = [path]
+                return weigh(path, steps)
+
+            return ordered(params, noting_weigh)
 
         def tampered_factors(profile):
             factor, product = factors(profile)
 
             def tampered(steps):
                 key, monomial = factor(steps)
-                if profile is not HHH_PROFILE or rank != [2]:
+                if profile is not HHH_PROFILE or weighed != [third]:
                     return key, monomial
                 monomials.append(monomial)
                 c, ea, q2, t2 = monomial
@@ -418,7 +422,7 @@ class TestStreamedSweep:
 
             return tampered, product
 
-        monkeypatch.setattr(khr.verify, "ranked_branches", noting_walk)
+        monkeypatch.setattr(khr.verify, "ordered_leaves", noting_leaves)
         monkeypatch.setattr(khr.verify, "leaf_factors", tampered_factors)
         check = run_suite(params, suites={"cross"})["cross_check"]
         path, num = evaluate(params, HHH_PROFILE).leaves[2]
@@ -428,9 +432,10 @@ class TestStreamedSweep:
         assert check["mismatches"] == [f"{path}: sweep {Invariant(tampered, 1)}, closed form {Invariant(num, 1)}"]
 
     def test_streamed_memory(self):
-        # no leaf is held: the peak of the two streamed suites at (9,7),
-        # path records included, stays under 2 MB (3.1 MB holding leaves)
-        for cached in (enumerate_paths, path_data, hhh_direct, suffix_counts):
+        # each leaf is held only factored, with its ratio row, until the
+        # sort: the peak of the two leaf suites at (9,7), path records
+        # included, stays under 2 MB (3.1 MB holding expanded leaves)
+        for cached in (enumerate_paths, path_data, hhh_direct):
             cached.cache_clear()
         tracemalloc.start()
         try:
