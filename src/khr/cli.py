@@ -44,11 +44,12 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process that
 CACHE_ENV = "KHR_CACHE_DIR"
 CACHE_VERSION = __version__
 DEFAULT_MAX_LEAVES = 10**7
-# verify holds each sweep leaf factored until it sorts them into
-# enumeration order, and a ratio row and an identity row per path, so it
-# stops lower: its peak RSS (os.wait4) is 22 MB at (10,9), 41 MB at (11,10)
-# and 103 MB at (12,11) with text output, 27, 49 and 130 MB with json,
-# about 1.5 and 1.9 KB per extra path
+# verify holds each sweep leaf, factored with its path, in one dict keyed
+# by the path's columns until the walk ends (430 B a leaf by tracemalloc
+# at (11,10), 730 B with its ratio row), and an identity row per path, so
+# it stops lower: its peak RSS (os.wait4) is 22 MB at (10,9), 39 MB at
+# (11,10) and 99 MB at (12,11) with text output, 27, 47 and 129 MB with
+# json, about 1.5 and 2.0 KB per extra path
 VERIFY_MAX_LEAVES = 10**5
 
 FORMS = ("P", "HHH", "euler")

@@ -28,10 +28,10 @@ are reconstructed into the path and validated against its statistics; the
 leaf keeps only that path and its numerator.  The tree does not depend on
 the weights, so it is walked once without them, and each profile weighs a
 leaf from the (tag, k) values of its steps alone, kept factored as a key
-and a monomial.  ordered_leaves weighs each leaf as its branch ends, keeps
-only its path and that weight, and sorts the leaves by their paths'
-columns, which is enumeration order, so each consumer reads them in the
-order the closed form sums its paths.
+and a monomial.  ordered_leaves weighs each leaf as its branch ends and
+keeps only that weight, in one dict keyed by the path's columns, whose
+sorted keys are enumeration order, so each consumer reads the leaves in
+the order the closed form sums its paths.
 """
 
 from __future__ import annotations
@@ -401,8 +401,8 @@ def leaf_factors(
                 t2 += t
         others.sort()
         key = tuple(others)
-        # one object per distinct key: a leaf held until ordered_leaves
-        # sorts keeps neither its own key tuple nor that key's step tuples
+        # one object per distinct key: a leaf ordered_leaves holds until the
+        # walk ends keeps neither its own key tuple nor that key's step tuples
         return keys.setdefault(key, key), (coeff, ea, q2, t2)
 
     def product(key: tuple[Step, ...]) -> LaurentPoly:
@@ -421,48 +421,45 @@ def leaf_factors(
 W = TypeVar("W")
 
 
-def ordered_leaves(
-    params: KnotParams, weigh: Callable[[DyckPath, Iterable[Step]], W]
-) -> list[tuple[DyckPath, W]]:
-    """(path, weigh(path, steps)) for each branch of the one walk, sorted by
-    path.columns, which is enumeration order: each branch is reconstructed
-    into its checked path and weighed from its (tag, k) steps as it ends,
-    and its step map is then dropped.
+def ordered_leaves(params: KnotParams, weigh: Callable[[DyckPath, Iterable[Step]], W]) -> list[W]:
+    """weigh(path, steps) for each branch of the one walk, in enumeration
+    order: each branch is reconstructed into its checked path and weighed
+    from its (tag, k) steps as it ends, and its step map is then dropped.
+    One dict from each path's columns to its weight holds the leaves, and
+    sorted columns are enumeration order.
 
     The leaf-set guard: a path reached twice raises at once, before any
     later branch is read, and too few leaves raise when the walk ends.  So
     the leaves are one on each path.
     """
     count = rational_catalan(params)
-    seen: set[tuple[int, ...]] = set()
-    leaves: list[tuple[DyckPath, W]] = []
+    leaves: dict[tuple[int, ...], W] = {}
     for steps, terminal in branches(params):
         path = reconstruct_path(steps, terminal, params)
-        if path.columns in seen:
-            raise RuntimeError(f"{len(seen) + 1} leaves, not one on each of the {count} paths")
-        seen.add(path.columns)
-        leaves.append((path, weigh(path, steps.values())))
+        if path.columns in leaves:
+            raise RuntimeError(f"{len(leaves) + 1} leaves, not one on each of the {count} paths")
+        leaves[path.columns] = weigh(path, steps.values())
     if len(leaves) != count:
         raise RuntimeError(f"{len(leaves)} leaves, not one on each of the {count} paths")
-    leaves.sort(key=lambda leaf: leaf[0].columns)
-    return leaves
+    return [leaves[columns] for columns in sorted(leaves)]
 
 
 def evaluate(params: KnotParams, profile: WeightProfile) -> SweepResult:
     """The sweep of one profile, held: every leaf and the total.
 
     Each leaf of ordered_leaves, in enumeration order, one on each path, is
-    weighed from its steps by leaf_factors and expanded.  Each leaf
-    numerator sits over the base's (1 - t) power, stored once as dpow, so
-    the total is one sum of numerators, normalized once.
+    its path and its numerator, weighed from its steps by leaf_factors and
+    expanded.  Each leaf numerator sits over the base's (1 - t) power,
+    stored once as dpow, so the total is one sum of numerators, normalized
+    once.
     """
     factor, product = leaf_factors(profile)
 
-    def weigh(path: DyckPath, steps: Iterable[Step]) -> LaurentPoly:
+    def weigh(path: DyckPath, steps: Iterable[Step]) -> Leaf:
         key, monomial = factor(steps)
-        return product(key).times_monomial(*monomial)
+        return Leaf(path, product(key).times_monomial(*monomial))
 
-    leaves = [Leaf(path, num) for path, num in ordered_leaves(params, weigh)]
+    leaves = ordered_leaves(params, weigh)
     dpow = profile.base.dpow
     total = Invariant(poly_sum([leaf.num for leaf in leaves]), dpow)
     return SweepResult(params, profile.name, total, dpow, leaves)

@@ -141,9 +141,10 @@ def _leaf_sections(
 ) -> tuple[Optional[dict], Optional[dict]]:
     """The cross-check and ratio sections (None where not asked for) from
     one walk of sweep.ordered_leaves, whose leaves come in enumeration
-    order, each HHH leaf kept factored (sweep.leaf_factors) and, when the
-    ratio section is asked for, with its ratio row, built as its leaf
-    arrives.  Without the ratio section no scalar leaf is factored.
+    order, each one (path, HHH leaf, ratio row): the HHH leaf kept factored
+    (sweep.leaf_factors) and, when the ratio section is asked for, the
+    ratio row built as its leaf arrives (None without it).  Without the
+    ratio section no scalar leaf is factored.
 
     Both sections ask _leaf_ratio of each leaf: the cross-check of the HHH
     leaf over its path's closed-form term, the ratio table of the scalar
@@ -162,15 +163,15 @@ def _leaf_sections(
         # few leaves have a ratio of their own, so each distinct one is rendered once
         texts: dict[Optional[Monomial], str] = {None: "not a monomial"}
 
-    def weigh(path: DyckPath, steps: Iterable[Step]) -> tuple[Factored, Optional[dict]]:
+    def weigh(path: DyckPath, steps: Iterable[Step]) -> tuple[DyckPath, Factored, Optional[dict]]:
         leaf = hhh_factor(steps)
         if not ratios:
-            return leaf, None
+            return path, leaf, None
         ratio = to_hhh(path, toric_factor(steps), leaf)
         text = texts.get(ratio)
         if text is None:
             text = texts[ratio] = LaurentPoly.monomial(*ratio).text()
-        return leaf, {"path": str(path), "is_monomial": ratio is not None, "ratio": text}
+        return path, leaf, {"path": str(path), "is_monomial": ratio is not None, "ratio": text}
 
     leaves = ordered_leaves(params, weigh)
     cross_section = ratio_section = None
@@ -180,7 +181,7 @@ def _leaf_sections(
         to_term = _leaf_ratio(hhh_product, corner_product)
         mismatches = []
         sums: dict[Hashable, dict[tuple[int, int, int], int]] = {}
-        for (path, (leaf, _)), record in zip(leaves, path_data(params), strict=True):
+        for (path, leaf, _), record in zip(leaves, path_data(params), strict=True):
             key, (c, ea, q2, t2) = leaf
             term = term_factors(record, g)
             if to_term(path, leaf, term) != (1, 0, 0, 0):
@@ -205,7 +206,7 @@ def _leaf_sections(
             "mismatches": mismatches,
         }
     if ratios:
-        rows = [row for _, (_, row) in leaves]
+        rows = [row for _, _, row in leaves]
         all_monomial = all(row["is_monomial"] for row in rows)
         # the sweep starts from one interval on the n strands of the braid
         n = params.n

@@ -207,12 +207,17 @@ class TestEvaluateHHH:
 
 class TestOrderedLeaves:
     def test_paths_are_the_enumeration(self):
-        # the sort by columns is enumeration order, and each leaf's weight
-        # was taken from its own path
+        # sorted columns are enumeration order: weighed by its path, each
+        # leaf is the enumeration's path at its place
         for params in coprime_pairs(16):
-            leaves = ordered_leaves(params, lambda path, steps: path)
-            assert [path for path, _ in leaves] == list(enumerate_paths(params)), params
-            assert all(path is weight for path, weight in leaves), params
+            assert ordered_leaves(params, lambda path, steps: path) == list(enumerate_paths(params)), params
+
+    def test_each_weight_is_from_its_own_branch(self):
+        # the steps a leaf is weighed from are those its own path fixes at
+        # every event, so no weight is taken from another branch's steps
+        for params in coprime_pairs(12):
+            for path, steps in ordered_leaves(params, lambda path, steps: (path, sorted(steps))):
+                assert steps == sorted(expected_steps(path)[0].values()), (params, path)
 
 
 class TestTotal:

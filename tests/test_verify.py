@@ -432,9 +432,10 @@ class TestStreamedSweep:
         assert check["mismatches"] == [f"{path}: sweep {Invariant(tampered, 1)}, closed form {Invariant(num, 1)}"]
 
     def test_streamed_memory(self):
-        # each leaf is held only factored, with its ratio row, until the
-        # sort: the peak of the two leaf suites at (9,7), path records
-        # included, stays under 2 MB (3.1 MB holding expanded leaves)
+        # each leaf is held only factored, with its path and its ratio row,
+        # in one dict keyed by its path's columns until the walk ends: the
+        # peak of the two leaf suites at (9,7), path records included, is
+        # 1.17 MB and stays under 2 MB (3.1 MB holding expanded leaves)
         for cached in (enumerate_paths, path_data, hhh_direct):
             cached.cache_clear()
         tracemalloc.start()
